@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short conformance conformance-list bench bench-json bench-ingest-json bench-gate soak-smoke experiments experiments-quick examples fuzz fuzz-smoke race test-race vet lint lint-tools cover cover-json clean FORCE
+.PHONY: build test test-short conformance conformance-list orphans bench bench-json bench-ingest-json bench-gate soak-smoke experiments experiments-quick examples fuzz fuzz-smoke race test-race vet lint lint-tools cover cover-json clean FORCE
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,20 @@ conformance:
 
 conformance-list:
 	$(GO) run ./cmd/histbench -conformance-list .
+
+# Orphan-package gate: every non-main package under internal/ must be
+# imported by non-test code outside itself. `go list` reports only
+# non-test imports, so a package reachable from nothing but its own
+# tests — dead code that still costs CI time and review attention —
+# fails the gate by name.
+orphans:
+	@$(GO) list -f '{{.ImportPath}} {{.Name}} {{join .Imports " "}}' ./... | awk ' \
+		{ pkg[NR] = $$1; name[$$1] = $$2; for (i = 3; i <= NF; i++) if ($$i != $$1) used[$$i] = 1 } \
+		END { for (n = 1; n <= NR; n++) { p = pkg[n]; \
+			if (index(p, "/internal/") && name[p] != "main" && !used[p]) { \
+				print "ORPHAN PACKAGE: " p " has no importer outside its own tests" > "/dev/stderr"; bad = 1 } } \
+			if (!bad) print "orphans: every internal package has a non-test importer"; \
+			exit bad }'
 
 # Full race-detector pass; the sieve fan-out in internal/core is the
 # main concurrent code path.

@@ -39,7 +39,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/intervals"
 	"repro/internal/learn"
@@ -319,7 +318,9 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 	// worker-count independent.
 	fx, okx := forkable(px)
 	fy, oky := forkable(py)
-	if okx && oky {
+	fork := okx && oky
+	workers := 1
+	if fork {
 		// Determinism contract: every replicate's randomness — two
 		// streams, side X then side Y — is split from r sequentially
 		// BEFORE any goroutine launches.
@@ -329,44 +330,17 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 			r.SplitInto(ry)
 			t.forks[i] = twoSampleJob{ox: fx.Fork(rx), oy: fy.Fork(ry), rx: rx, ry: ry}
 		}
-		workers := cfg.Workers
-		if workers > reps {
-			workers = reps
-		}
-		if workers <= 1 {
-			for i := 0; i < reps; i++ {
-				if ctx.Err() != nil {
-					break
-				}
-				j := t.forks[i]
-				replicate(i, j.ox, j.oy, j.rx, j.ry)
-			}
+		workers = cfg.Workers
+	}
+	_, err := oracle.FanOut(ctx, reps, workers, func(_, i int) {
+		if fork {
+			j := t.forks[i]
+			replicate(i, j.ox, j.oy, j.rx, j.ry)
 		} else {
-			// Deterministic chunked assignment, as in the core sieve:
-			// worker w owns the contiguous replicate range — the schedule
-			// is a pure function of (reps, workers) and claim order never
-			// mattered for determinism anyway.
-			chunk := (reps + workers - 1) / workers
-			var wg sync.WaitGroup
-			for lo := 0; lo < reps; lo += chunk {
-				hi := lo + chunk
-				if hi > reps {
-					hi = reps
-				}
-				wg.Add(1)
-				go func(lo, hi int) {
-					defer wg.Done()
-					for i := lo; i < hi; i++ {
-						if ctx.Err() != nil {
-							return
-						}
-						j := t.forks[i]
-						replicate(i, j.ox, j.oy, j.rx, j.ry)
-					}
-				}(lo, hi)
-			}
-			wg.Wait()
+			replicate(i, px, py, r, r)
 		}
+	})
+	if fork {
 		// Fold clone draws back so budget accounting stays exact — on
 		// the cancellation path too.
 		var drawnX, drawnY int64
@@ -377,16 +351,9 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 		}
 		fx.Absorb(drawnX)
 		fy.Absorb(drawnY)
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	} else {
-		for i := 0; i < reps; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			replicate(i, px, py, r, r)
-		}
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	accepts := 0

@@ -92,18 +92,16 @@ type Arena struct {
 	// the zero-overhead fast path: no events, no clock reads, no extra
 	// allocations. The fields live on the Arena (not in closures) so
 	// attaching an observer adds no captures — and therefore no heap
-	// cells — to the hot-path closures. obDense/obSparse tally the
-	// current sieve round's counting-path choices; they are written only
-	// single-threaded (serial batches tally directly, parallel batches
-	// tally into per-worker obTally slots merged after the join), so no
-	// atomics sit on the batch path.
-	ob                    obs.Observer
-	obRun                 uint64
-	obStart               time.Time
-	obDense, obSparse     int64
-	obExact, obClosedForm int64
-	obWorkers             int
-	obTallies             []obTally // per-worker round tallies (parallel sieve only)
+	// cells — to the hot-path closures. obRound tallies the current
+	// sieve round's counting-path choices; it is written only
+	// single-threaded (batches tally into per-worker obTally slots merged
+	// after the join), so no atomics sit on the batch path.
+	ob        obs.Observer
+	obRun     uint64
+	obStart   time.Time
+	obRound   obTally
+	obWorkers int
+	obTallies []obTally // per-worker round tallies
 }
 
 // obTally is one worker's private counting-path tally for the current
@@ -217,31 +215,13 @@ func (a *Arena) emitRound(o oracle.Oracle, round, removed, reps int, sampMark in
 		Samples:    o.Samples() - sampMark,
 		Workers:    a.obWorkers,
 		Replicates: reps,
-		Dense:      int(a.obDense),
-		Sparse:     int(a.obSparse),
-		Exact:      int(a.obExact),
-		ClosedForm: int(a.obClosedForm),
+		Dense:      int(a.obRound.dense),
+		Sparse:     int(a.obRound.sparse),
+		Exact:      int(a.obRound.exact),
+		ClosedForm: int(a.obRound.closedForm),
 		PoolHits:   ps.Hits - poolMark.Hits,
 		PoolMisses: ps.Misses - poolMark.Misses,
 	})
-}
-
-// obBatch tallies one replicate batch's counting-path (dense/sparse
-// backing) and count-synthesis strategy for the current sieve round.
-// Only called with an observer attached, and only from single-threaded
-// batch loops — parallel workers tally into their private obTally slot
-// instead, merged after the round's join.
-func (a *Arena) obBatch(counts *oracle.Counts, cs oracle.CountStrategy) {
-	if counts.Dense() {
-		a.obDense++
-	} else {
-		a.obSparse++
-	}
-	if cs == oracle.CountClosedForm {
-		a.obClosedForm++
-	} else {
-		a.obExact++
-	}
 }
 
 // fail emits the RunEnd failure event (cancellations included) and

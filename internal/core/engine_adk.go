@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/chisq"
 	"repro/internal/histdp"
@@ -143,13 +142,9 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 	computeZs := func() ([]float64, error) {
 		g := domain()
 		med := a.med
-		if a.ob != nil {
-			a.obDense, a.obSparse = 0, 0
-			a.obExact, a.obClosedForm = 0, 0
-		}
-		a.obWorkers = 1
+		jobs := a.jobs
+		w := 1
 		if forker != nil {
-			jobs := a.jobs
 			for t := range jobs {
 				// Re-split into the scratch RNG structs: stream-identical to
 				// a fresh Split, without the per-round allocations.
@@ -157,84 +152,40 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 				r.SplitInto(rt)
 				jobs[t] = replicate{o: forker.Fork(rt), r: rt}
 			}
-			// tally is nil on the serial path (obBatch bumps the Arena
-			// fields directly) and a worker-private padded slot on the
-			// parallel path.
-			run := func(t int, tally *obTally) {
-				counts := oracle.DrawCountsWith(jobs[t].o, jobs[t].r, mSieve, countStrat)
-				if tally != nil {
-					tally.batch(counts, countStrat)
-				} else if a.ob != nil {
-					a.obBatch(counts, countStrat)
-				}
-				med[t] = chisq.ZPerIntervalInto(med[t][:0], counts, dhat, p, g, mSieve, tau)
-				counts.Release()
+			w = workers
+		}
+		// Per-worker padded tally slots, merged after the join, so no two
+		// workers tally into the same cache line.
+		var tallies []obTally
+		if a.ob != nil {
+			nt := max(1, min(w, reps))
+			if cap(a.obTallies) < nt {
+				a.obTallies = make([]obTally, nt)
 			}
-			var runErr error
-			if w := min(workers, reps); w <= 1 {
-				for t := range jobs {
-					if runErr = ctx.Err(); runErr != nil {
-						break
-					}
-					run(t, nil)
-				}
-			} else {
-				// Deterministic chunked assignment: worker i owns the
-				// contiguous replicate range [i·chunk, (i+1)·chunk). The old
-				// shared atomic claim counter cost one contended CAS per
-				// replicate and bounced its cache line across every worker;
-				// chunking removes the shared word entirely. Claim order was
-				// never what made the sieve deterministic — each replicate's
-				// RNG stream is split from r sequentially before any
-				// goroutine launches — so assignment shape is free to choose
-				// for locality: adjacent replicates (adjacent med rows) stay
-				// on the same worker.
-				//
-				// With reps not a multiple of w the trailing chunk(s) are
-				// empty (e.g. reps=5, w=4 → chunk=2 covers everything in 3
-				// chunks), so nw — the goroutines actually launched — can be
-				// smaller than w; it is what the observer round event reports.
-				chunk := (reps + w - 1) / w
-				nw := (reps + chunk - 1) / chunk
-				a.obWorkers = nw
-				var tallies []obTally
-				if a.ob != nil {
-					if cap(a.obTallies) < nw {
-						a.obTallies = make([]obTally, nw)
-					}
-					tallies = a.obTallies[:nw]
-					for i := range tallies {
-						tallies[i] = obTally{}
-					}
-				}
-				var wg sync.WaitGroup
-				for i := 0; i < nw; i++ {
-					lo := i * chunk
-					hi := min(lo+chunk, reps)
-					var tally *obTally
-					if tallies != nil {
-						tally = &tallies[i]
-					}
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						for t := lo; t < hi; t++ {
-							if ctx.Err() != nil {
-								return
-							}
-							run(t, tally)
-						}
-					}()
-				}
-				wg.Wait()
-				runErr = ctx.Err()
-				for i := range tallies {
-					a.obDense += tallies[i].dense
-					a.obSparse += tallies[i].sparse
-					a.obExact += tallies[i].exact
-					a.obClosedForm += tallies[i].closedForm
-				}
+			tallies = a.obTallies[:nt]
+			clear(tallies)
+		}
+		nw, runErr := oracle.FanOut(ctx, reps, w, func(worker, t int) {
+			ot, rt := o, r
+			if forker != nil {
+				ot, rt = jobs[t].o, jobs[t].r
 			}
+			counts := oracle.DrawCountsWith(ot, rt, mSieve, countStrat)
+			if tallies != nil {
+				tallies[worker].batch(counts, countStrat)
+			}
+			med[t] = chisq.ZPerIntervalInto(med[t][:0], counts, dhat, p, g, mSieve, tau)
+			counts.Release()
+		})
+		a.obWorkers = nw
+		a.obRound = obTally{}
+		for _, t := range tallies {
+			a.obRound.dense += t.dense
+			a.obRound.sparse += t.sparse
+			a.obRound.exact += t.exact
+			a.obRound.closedForm += t.closedForm
+		}
+		if forker != nil {
 			// Fold the per-replicate draw counters back into the parent so
 			// Trace accounting stays exact — on the cancellation path too.
 			var drawn int64
@@ -242,21 +193,9 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 				drawn += jobs[t].o.Samples()
 			}
 			forker.Absorb(drawn)
-			if runErr != nil {
-				return nil, runErr
-			}
-		} else {
-			for t := 0; t < reps; t++ {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				counts := oracle.DrawCountsWith(o, r, mSieve, countStrat)
-				if a.ob != nil {
-					a.obBatch(counts, countStrat)
-				}
-				med[t] = chisq.ZPerIntervalInto(med[t][:0], counts, dhat, p, g, mSieve, tau)
-				counts.Release()
-			}
+		}
+		if runErr != nil {
+			return nil, runErr
 		}
 		zs := a.zs
 		col := a.col

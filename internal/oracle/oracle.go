@@ -6,10 +6,12 @@
 package oracle
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/intervals"
@@ -51,6 +53,54 @@ type Forker interface {
 	// Samples() counter, preserving exact budget accounting. It must not
 	// be called while clones are still drawing.
 	Absorb(drawn int64)
+}
+
+// FanOut runs fn(worker, i) for every replicate i in [0, reps): serially
+// on the calling goroutine (worker 0) when min(workers, reps) <= 1, and
+// otherwise on goroutines that each own a contiguous range of ⌈reps/w⌉
+// replicates — worker i gets [i·chunk, (i+1)·chunk). Contiguous ranges
+// need no shared claim counter and keep adjacent replicates (adjacent
+// rows of a caller's statistic matrix) on one worker. The schedule is a
+// pure function of (reps, workers); determinism is the caller's part:
+// every replicate's randomness must be split (and its oracles forked)
+// sequentially BEFORE the call, and fn may only write state owned by its
+// replicate or its worker index. ctx is checked before every replicate;
+// replicates already running finish first. FanOut returns the number of
+// workers actually used — with reps not a multiple of w the trailing
+// chunks are empty (reps=5, w=4 → chunk 2 → 3 goroutines) — and
+// ctx.Err() when a check found the context done. Worker indices are
+// always below min(workers, reps), so callers may size per-worker
+// scratch by that bound. It serves ADK's median-amplified sieve
+// (core) and the DKN'17 majority vote (closeness).
+func FanOut(ctx context.Context, reps, workers int, fn func(worker, i int)) (int, error) {
+	w := min(workers, reps)
+	if w <= 1 {
+		for i := 0; i < reps; i++ {
+			if err := ctx.Err(); err != nil {
+				return 1, err
+			}
+			fn(0, i)
+		}
+		return 1, nil
+	}
+	chunk := (reps + w - 1) / w
+	nw := (reps + chunk - 1) / chunk
+	var wg sync.WaitGroup
+	for worker := 0; worker < nw; worker++ {
+		lo, hi := worker*chunk, min((worker+1)*chunk, reps)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				if ctx.Err() != nil {
+					return
+				}
+				fn(worker, i)
+			}
+		}()
+	}
+	wg.Wait()
+	return nw, ctx.Err()
 }
 
 // DrawN draws m samples from o.

@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -279,4 +281,45 @@ func TestConditionalExhaustsRetries(t *testing.T) {
 		}
 	}()
 	c.Draw()
+}
+
+// TestFanOutSchedule pins FanOut's schedule: every replicate runs exactly
+// once, on the worker owning its contiguous ⌈reps/w⌉ chunk, and the
+// reported worker count is the goroutines actually launched (trailing
+// empty chunks launch nothing).
+func TestFanOutSchedule(t *testing.T) {
+	for _, tc := range []struct{ reps, workers, launched int }{
+		{5, 1, 1}, {5, 0, 1}, {1, 4, 1}, {5, 4, 3}, {7, 3, 3}, {8, 8, 8}, {3, 16, 3},
+	} {
+		owner := make([]int, tc.reps)
+		runs := make([]int, tc.reps)
+		nw, err := FanOut(context.Background(), tc.reps, tc.workers, func(worker, i int) {
+			owner[i] = worker
+			runs[i]++
+		})
+		if err != nil || nw != tc.launched {
+			t.Fatalf("reps=%d workers=%d: launched %d (err %v), want %d", tc.reps, tc.workers, nw, err, tc.launched)
+		}
+		w := max(1, min(tc.workers, tc.reps))
+		chunk := (tc.reps + w - 1) / w
+		for i := range runs {
+			if runs[i] != 1 || owner[i] != i/chunk {
+				t.Fatalf("reps=%d workers=%d: replicate %d ran %d times on worker %d, want once on %d",
+					tc.reps, tc.workers, i, runs[i], owner[i], i/chunk)
+			}
+		}
+	}
+}
+
+// TestFanOutCanceled: a context that is already done runs no replicate,
+// serial or parallel, and surfaces its error.
+func TestFanOutCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 4} {
+		ran := 0
+		if _, err := FanOut(ctx, 5, workers, func(int, int) { ran++ }); !errors.Is(err, context.Canceled) || ran != 0 {
+			t.Fatalf("workers=%d: err %v after %d replicates, want context.Canceled after 0", workers, err, ran)
+		}
+	}
 }

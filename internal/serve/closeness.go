@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/histtest/client"
 	"repro/internal/closeness"
@@ -59,165 +58,61 @@ func Workloads() []string { return []string{"histogram", "closeness"} }
 
 // resolveCloseness turns a wire closeness request into a runSpec whose
 // close field carries side B, validating everything the tester would
-// reject plus the serving-layer limits.
+// reject plus the serving limits.
 func (s *Server) resolveCloseness(req *client.ClosenessRequest) (*runSpec, error) {
-	if req.K < 1 {
-		return nil, badReqf("k = %d must be positive", req.K)
-	}
-	if req.Eps <= 0 || req.Eps > 1 {
-		return nil, badReqf("eps = %v must be in (0, 1]", req.Eps)
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1 // histtest.Options.Seed semantics
-	}
-	samplerSeed := req.SamplerSeed
-	if samplerSeed == 0 {
-		samplerSeed = 1
-	}
-
-	cr := &closenessRun{}
-	sp := &runSpec{k: req.K, eps: req.Eps, seed: seed, close: cr}
-
-	oa, statsA, err := s.resolveSide("a", &req.A, req.N, samplerSeed, seed^streamShuffleSalt)
+	cs, err := checkParams(req.K, req.Eps, req.Scale, req.CountStrategy)
 	if err != nil {
 		return nil, err
 	}
-	ob, statsB, err := s.resolveSide("b", &req.B, req.N, samplerSeed^closenessSamplerSaltB, seed^closenessShuffleSaltB)
+	if req.Reps < 0 {
+		return nil, badReqf("reps = %d must be positive", req.Reps)
+	}
+	seed := max(req.Seed, 1) // histtest.Options.Seed semantics
+	samplerSeed := max(req.SamplerSeed, 1)
+	cr := &closenessRun{}
+	sp := &runSpec{k: req.K, eps: req.Eps, seed: seed, close: cr}
+
+	oa, infoA, err := s.closenessSide("a", &req.A, req.N, samplerSeed, seed^streamShuffleSalt)
+	if err != nil {
+		return nil, err
+	}
+	ob, infoB, err := s.closenessSide("b", &req.B, req.N, samplerSeed^closenessSamplerSaltB, seed^closenessShuffleSaltB)
 	if err != nil {
 		return nil, err
 	}
 	if oa.N() != ob.N() {
 		return nil, badReqf("sides over different domains (%d vs %d)", oa.N(), ob.N())
 	}
-	sp.o = oa
-	sp.datasetLen = statsA.datasetLen
+	sp.o, sp.datasetLen = oa, infoA.datasetLen
 	cr.oy = ob
-	cr.eventsA, cr.eventsB = statsA.events, statsB.events
-	cr.datasetLenA, cr.datasetLenB = statsA.datasetLen, statsB.datasetLen
+	cr.eventsA, cr.eventsB = infoA.snap.Events, infoB.snap.Events
+	cr.datasetLenA, cr.datasetLenB = infoA.datasetLen, infoB.datasetLen
 
 	cfg := closeness.DefaultConfig()
 	cfg.Reps = s.cfg.ClosenessReps
 	if req.Reps != 0 {
-		if req.Reps < 1 {
-			return nil, badReqf("reps = %d must be positive", req.Reps)
-		}
 		cfg.Reps = req.Reps
-	}
-	if req.Scale < 0 {
-		return nil, badReqf("scale = %v must not be negative", req.Scale)
 	}
 	if req.Scale > 0 && req.Scale != 1 {
 		cfg = cfg.Scale(req.Scale)
 	}
-	// Within-request fan-out: same clamp discipline as resolve — never
-	// verdict-changing, so clamped requests still match direct runs.
-	cfg.Workers = 1
-	if req.Workers > 1 {
-		cfg.Workers = min(req.Workers, s.cfg.SieveWorkers)
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
-	}
-	if s.cfg.MaxSamplesPerRun > 0 {
-		cfg.MaxSamples = s.cfg.MaxSamplesPerRun
-	}
-	cs, err := oracle.ParseCountStrategy(req.CountStrategy)
-	if err != nil {
-		return nil, badReqf("%v", err)
-	}
 	cfg.CountStrategy = cs
-	cr.cfg = cfg
-
-	switch {
-	case req.TimeoutMS < 0:
-		return nil, badReqf("timeout_ms = %d must not be negative", req.TimeoutMS)
-	case req.TimeoutMS == 0:
-		if s.cfg.DefaultTimeout > 0 {
-			sp.timeout = s.cfg.DefaultTimeout
-		}
-	default:
-		sp.timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
+	if cfg.Workers, cfg.MaxSamples, sp.timeout, err = s.limits(req.Workers, cfg.MaxSamples, req.TimeoutMS); err != nil {
+		return nil, err
 	}
+	cr.cfg = cfg
 	return sp, nil
 }
 
-// sideStats carries the per-side bookkeeping resolveSide extracts.
-type sideStats struct {
-	events     int64 // stream sides: snapshotted window size
-	datasetLen int   // dataset sides: recorded sample count
-}
-
-// resolveSide builds one side's oracle. samplerSeed seeds Spec/Sampler
-// forks; shuffleSeed seeds a stream side's snapshot replay shuffle (both
-// already carry the side's salt).
-func (s *Server) resolveSide(label string, side *client.ClosenessSide, n int, samplerSeed, shuffleSeed uint64) (oracle.Oracle, sideStats, error) {
-	var stats sideStats
-	sources := 0
-	if len(side.Samples) > 0 {
-		sources++
+// closenessSide resolves one side through source. Unlike a stream test,
+// which reports an empty window as a run that needs more samples, a
+// comparison against an empty window is refused at admission.
+func (s *Server) closenessSide(label string, side *client.ClosenessSide, n int, samplerSeed, shuffleSeed uint64) (oracle.Oracle, sourceInfo, error) {
+	o, info, err := s.source(label, side, n, samplerSeed, shuffleSeed)
+	if err == nil && side.Stream != "" && info.snap.Events == 0 {
+		err = &badRequest{code: client.ErrCodeNeedMoreSamples, msg: fmt.Sprintf("side %s: stream %q's window is empty — ingest events before comparing", label, side.Stream)}
 	}
-	if side.Spec != nil {
-		sources++
-	}
-	if side.Sampler != "" {
-		sources++
-	}
-	if side.Stream != "" {
-		sources++
-	}
-	if sources != 1 {
-		return nil, stats, badReqf("side %s: exactly one of samples, spec, sampler, stream must be set (got %d)", label, sources)
-	}
-	switch {
-	case len(side.Samples) > 0:
-		if n < 1 {
-			return nil, stats, badReqf("side %s: n = %d must be positive with a samples dataset", label, n)
-		}
-		rep, err := oracle.NewReplay(n, side.Samples)
-		if err != nil {
-			return nil, stats, badReqf("side %s: invalid dataset: %v", label, err)
-		}
-		stats.datasetLen = len(side.Samples)
-		return rep, stats, nil
-	case side.Spec != nil:
-		proto, err := buildSampler(side.Spec)
-		if err != nil {
-			return nil, stats, fmt.Errorf("side %s: %w", label, err)
-		}
-		if n != 0 && n != proto.N() {
-			return nil, stats, badReqf("side %s: n = %d does not match the spec's domain %d", label, n, proto.N())
-		}
-		return proto.Fork(rng.New(samplerSeed)), stats, nil
-	case side.Sampler != "":
-		proto, ok := s.samplers.get(side.Sampler)
-		if !ok {
-			return nil, stats, &badRequest{code: client.ErrCodeUnknownSampler, msg: fmt.Sprintf("side %s: sampler %q is not registered", label, side.Sampler)}
-		}
-		if n != 0 && n != proto.N() {
-			return nil, stats, badReqf("side %s: n = %d does not match sampler %q's domain %d", label, n, side.Sampler, proto.N())
-		}
-		return proto.Fork(rng.New(samplerSeed)), stats, nil
-	default:
-		st, ok := s.streams.Get(side.Stream)
-		if !ok {
-			return nil, stats, &badRequest{code: client.ErrCodeNotFound, msg: fmt.Sprintf("side %s: stream %q is not registered", label, side.Stream)}
-		}
-		if n != 0 && n != st.Acc.N() {
-			return nil, stats, badReqf("side %s: n = %d does not match stream %q's domain %d", label, n, side.Stream, st.Acc.N())
-		}
-		counts, snap := st.Acc.Snapshot()
-		if snap.Events == 0 {
-			counts.Release()
-			return nil, stats, &badRequest{code: client.ErrCodeNeedMoreSamples, msg: fmt.Sprintf("side %s: stream %q's window is empty — ingest events before comparing", label, side.Stream)}
-		}
-		o := oracle.NewCountsReplay(counts, rng.New(shuffleSeed))
-		counts.Release()
-		st.Touch(time.Now(), 0)
-		stats.events = snap.Events
-		stats.datasetLen = int(snap.Events)
-		return o, stats, nil
-	}
+	return o, info, err
 }
 
 // runCloseness executes a resolved two-sample run on the worker's pooled

@@ -48,7 +48,8 @@ func specDist(t *testing.T, spec client.HistogramSpec) *dist.PiecewiseConstant {
 }
 
 // directClosenessConfig resolves a wire closeness request's tester config
-// the way resolveCloseness does (server defaults, scale, strategy),
+// the way resolveCloseness does (server defaults, scale, strategy; the
+// serving limits come from limits),
 // pinned to serial workers — the whole point is that the served run's
 // fan-out must not matter.
 func directClosenessConfig(t *testing.T, req client.ClosenessRequest) closeness.Config {

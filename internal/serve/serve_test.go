@@ -564,6 +564,7 @@ func TestBadRequests(t *testing.T) {
 		{"unknown sampler", client.TestRequest{Sampler: "nope", K: 4, Eps: 0.5}, 404, client.ErrCodeUnknownSampler},
 		{"n mismatch", client.TestRequest{Spec: ptr(fastSpec()), N: 7, K: 4, Eps: 0.5}, 400, client.ErrCodeBadRequest},
 		{"negative timeout", client.TestRequest{Spec: ptr(fastSpec()), K: 4, Eps: 0.5, TimeoutMS: -1}, 400, client.ErrCodeBadRequest},
+		{"negative scale", client.TestRequest{Spec: ptr(fastSpec()), K: 4, Eps: 0.5, Scale: -2}, 400, client.ErrCodeBadRequest},
 		{"dataset too small", client.TestRequest{Samples: []int{0, 1, 2, 3}, N: 64, K: 2, Eps: 0.5}, 422, client.ErrCodeNeedMoreSamples},
 		{"bad count strategy", client.TestRequest{Spec: ptr(fastSpec()), K: 4, Eps: 0.5, CountStrategy: "fast"}, 400, client.ErrCodeBadRequest},
 		{"unknown engine", client.TestRequest{Spec: ptr(fastSpec()), K: 4, Eps: 0.5, Engine: "adk2"}, 400, client.ErrCodeBadRequest},

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -32,6 +33,27 @@ func TestDrainRejectionBeatsDeadline(t *testing.T) {
 		if res.Code != client.ErrCodeDraining {
 			t.Fatalf("iteration %d: drain-rejected job answered with code %q (err %q), want %q",
 				i, res.Code, res.Err, client.ErrCodeDraining)
+		}
+	}
+}
+
+// TestHugeTimeoutClampsToMax pins the deadline clamp against overflow:
+// timeout_ms is clamped to MaxTimeout before it becomes a Duration. The
+// old multiply-then-clamp wrapped negative for timeout_ms >= 10¹³, which
+// enqueue reads as "no deadline" — a client-side opt-out of the cap.
+func TestHugeTimeoutClampsToMax(t *testing.T) {
+	s := New(Config{Workers: 1, JanitorInterval: -1})
+	defer s.Close()
+	for _, ms := range []int64{1 << 62, 1e13, math.MaxInt64} {
+		sp, err := s.resolve(&client.TestRequest{
+			Spec: &client.HistogramSpec{N: 64, Cuts: []int{32}, Masses: []float64{0.5, 0.5}},
+			K:    2, Eps: 0.5, TimeoutMS: ms,
+		})
+		if err != nil {
+			t.Fatalf("timeout_ms=%d: resolve: %v", ms, err)
+		}
+		if sp.timeout != s.cfg.MaxTimeout {
+			t.Fatalf("timeout_ms=%d resolved to %v, want MaxTimeout %v", ms, sp.timeout, s.cfg.MaxTimeout)
 		}
 	}
 }

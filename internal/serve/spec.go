@@ -11,6 +11,7 @@ import (
 	"repro/internal/intervals"
 	"repro/internal/oracle"
 	"repro/internal/rng"
+	"repro/internal/stream"
 )
 
 // runSpec is a TestRequest resolved into the concrete inputs of one
@@ -45,70 +46,29 @@ func badReqf(format string, args ...any) error {
 	return &badRequest{code: client.ErrCodeBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// resolve turns a wire request into a runSpec, validating everything the
-// core tester would reject — plus the serving-layer limits (deadline
-// clamp, sieve fan-out cap).
+// resolve turns a /v1/test request into a runSpec, validating
+// everything the core tester would reject plus the serving limits.
 func (s *Server) resolve(req *client.TestRequest) (*runSpec, error) {
-	sources := 0
-	if len(req.Samples) > 0 {
-		sources++
+	cs, err := checkParams(req.K, req.Eps, req.Scale, req.CountStrategy)
+	if err != nil {
+		return nil, err
 	}
-	if req.Spec != nil {
-		sources++
+	// Engine names resolve here at admission time so an unknown engine
+	// is a 400 before it costs a queue slot — and never a silent
+	// fallback to the default (core.TestContext would also refuse it,
+	// but only after admission).
+	if _, err := core.EngineFor(req.Engine); err != nil {
+		return nil, badReqf("%v", err)
 	}
-	if req.Sampler != "" {
-		sources++
+	// A one-sample request has no stream field; /v1/streams/{id}/test is
+	// its stream form.
+	src := client.ClosenessSide{Samples: req.Samples, Spec: req.Spec, Sampler: req.Sampler}
+	sp := &runSpec{k: req.K, eps: req.Eps, seed: max(req.Seed, 1)} // histtest.Options.Seed semantics
+	var info sourceInfo
+	if sp.o, info, err = s.source("", &src, req.N, max(req.SamplerSeed, 1), 0); err != nil {
+		return nil, err
 	}
-	if sources != 1 {
-		return nil, badReqf("exactly one of samples, spec, sampler must be set (got %d)", sources)
-	}
-	if req.K < 1 {
-		return nil, badReqf("k = %d must be positive", req.K)
-	}
-	if req.Eps <= 0 || req.Eps > 1 {
-		return nil, badReqf("eps = %v must be in (0, 1]", req.Eps)
-	}
-
-	sp := &runSpec{k: req.K, eps: req.Eps, seed: req.Seed}
-	if sp.seed == 0 {
-		sp.seed = 1 // histtest.Options.Seed semantics
-	}
-
-	samplerSeed := req.SamplerSeed
-	if samplerSeed == 0 {
-		samplerSeed = 1
-	}
-
-	switch {
-	case len(req.Samples) > 0:
-		if req.N < 1 {
-			return nil, badReqf("n = %d must be positive with a samples dataset", req.N)
-		}
-		rep, err := oracle.NewReplay(req.N, req.Samples)
-		if err != nil {
-			return nil, badReqf("invalid dataset: %v", err)
-		}
-		sp.o = rep
-		sp.datasetLen = len(req.Samples)
-	case req.Spec != nil:
-		proto, err := buildSampler(req.Spec)
-		if err != nil {
-			return nil, err
-		}
-		if req.N != 0 && req.N != proto.N() {
-			return nil, badReqf("n = %d does not match the spec's domain %d", req.N, proto.N())
-		}
-		sp.o = proto.Fork(rng.New(samplerSeed))
-	default:
-		proto, ok := s.samplers.get(req.Sampler)
-		if !ok {
-			return nil, &badRequest{code: client.ErrCodeUnknownSampler, msg: fmt.Sprintf("sampler %q is not registered", req.Sampler)}
-		}
-		if req.N != 0 && req.N != proto.N() {
-			return nil, badReqf("n = %d does not match sampler %q's domain %d", req.N, req.Sampler, proto.N())
-		}
-		sp.o = proto.Fork(rng.New(samplerSeed))
-	}
+	sp.datasetLen = info.datasetLen
 
 	cfg := core.PracticalConfig()
 	if req.Paper {
@@ -117,48 +77,161 @@ func (s *Server) resolve(req *client.TestRequest) (*runSpec, error) {
 	if req.Scale > 0 && req.Scale != 1 {
 		cfg = cfg.Scale(req.Scale)
 	}
-	// Within-request sieve fan-out: serial unless the deployment allows
-	// more. Clamping never changes the verdict (Workers is a pure
-	// throughput knob), so clamped requests still match direct runs.
-	cfg.Workers = 1
-	if req.Workers > 1 {
-		cfg.Workers = min(req.Workers, s.cfg.SieveWorkers)
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
-	}
-	if s.cfg.MaxSamplesPerRun > 0 {
-		cfg.MaxSamples = s.cfg.MaxSamplesPerRun
-	}
-	cs, err := oracle.ParseCountStrategy(req.CountStrategy)
-	if err != nil {
-		return nil, badReqf("%v", err)
-	}
 	// Replay oracles lack the CountDrawer capability, so a closed-form
 	// request over a dataset falls back to the exact path inside the
 	// tester (oracle.EffectiveStrategy) — no error, same verdict law.
 	cfg.CountStrategy = cs
-	// Engine names resolve here at admission time so an unknown engine
-	// is a 400 before it costs a queue slot — and never a silent
-	// fallback to the default (core.TestContext would also refuse it,
-	// but only after admission).
-	if _, err := core.EngineFor(req.Engine); err != nil {
-		return nil, badReqf("%v", err)
-	}
 	cfg.Engine = req.Engine
-	sp.cfg = cfg
-
-	switch {
-	case req.TimeoutMS < 0:
-		return nil, badReqf("timeout_ms = %d must not be negative", req.TimeoutMS)
-	case req.TimeoutMS == 0:
-		if s.cfg.DefaultTimeout > 0 {
-			sp.timeout = s.cfg.DefaultTimeout
-		}
-	default:
-		sp.timeout = min(time.Duration(req.TimeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
+	if cfg.Workers, cfg.MaxSamples, sp.timeout, err = s.limits(req.Workers, cfg.MaxSamples, req.TimeoutMS); err != nil {
+		return nil, err
 	}
+	sp.cfg = cfg
 	return sp, nil
+}
+
+// checkParams validates the tester parameters /v1/test and /v1/closeness
+// share and parses the count strategy.
+func checkParams(k int, eps, scale float64, countStrategy string) (oracle.CountStrategy, error) {
+	if k < 1 {
+		return 0, badReqf("k = %d must be positive", k)
+	}
+	if eps <= 0 || eps > 1 {
+		return 0, badReqf("eps = %v must be in (0, 1]", eps)
+	}
+	if scale < 0 {
+		return 0, badReqf("scale = %v must not be negative", scale)
+	}
+	cs, err := oracle.ParseCountStrategy(countStrategy)
+	if err != nil {
+		return 0, badReqf("%v", err)
+	}
+	return cs, nil
+}
+
+// sourceInfo is the bookkeeping source extracts beside the oracle.
+type sourceInfo struct {
+	// datasetLen is the recorded sample count behind a replay oracle (a
+	// dataset, or a stream window's event count); error-reporting
+	// context for replay exhaustion. 0 for spec and sampler sources.
+	datasetLen int
+	// snap describes a stream source's snapshotted window.
+	snap stream.SnapshotStats
+}
+
+// source turns one sample source — exactly one of samples, spec,
+// sampler, stream — into the oracle a run draws from. It is the only
+// place the serving layer builds oracles: /v1/test, both sides of
+// /v1/closeness, and stream tests (wire and janitor) all come here.
+// label names the side in error messages ("" for one-sided requests);
+// n, when non-zero, must match the source's domain. samplerSeed seeds
+// spec and sampler forks; shuffleSeed seeds a stream window's replay
+// shuffle. Both already carry any side salt.
+func (s *Server) source(label string, src *client.ClosenessSide, n int, samplerSeed, shuffleSeed uint64) (oracle.Oracle, sourceInfo, error) {
+	var info sourceInfo
+	prefix, kinds := "", "samples, spec, sampler"
+	if label != "" {
+		prefix, kinds = "side "+label+": ", kinds+", stream"
+	}
+	sources := 0
+	for _, set := range []bool{len(src.Samples) > 0, src.Spec != nil, src.Sampler != "", src.Stream != ""} {
+		if set {
+			sources++
+		}
+	}
+	if sources != 1 {
+		return nil, info, badReqf("%sexactly one of %s must be set (got %d)", prefix, kinds, sources)
+	}
+	// domain checks a source's domain against the request's n.
+	domain := func(what string, got int) error {
+		if n != 0 && n != got {
+			return badReqf("%sn = %d does not match %s's domain %d", prefix, n, what, got)
+		}
+		return nil
+	}
+	switch {
+	case len(src.Samples) > 0:
+		if n < 1 {
+			return nil, info, badReqf("%sn = %d must be positive with a samples dataset", prefix, n)
+		}
+		rep, err := oracle.NewReplay(n, src.Samples)
+		if err != nil {
+			return nil, info, badReqf("%sinvalid dataset: %v", prefix, err)
+		}
+		info.datasetLen = len(src.Samples)
+		return rep, info, nil
+	case src.Spec != nil:
+		proto, err := buildSampler(src.Spec)
+		if err != nil {
+			return nil, info, fmt.Errorf("%s%w", prefix, err)
+		}
+		if err := domain("the spec", proto.N()); err != nil {
+			return nil, info, err
+		}
+		return proto.Fork(rng.New(samplerSeed)), info, nil
+	case src.Sampler != "":
+		proto, ok := s.samplers.get(src.Sampler)
+		if !ok {
+			return nil, info, &badRequest{code: client.ErrCodeUnknownSampler, msg: fmt.Sprintf("%ssampler %q is not registered", prefix, src.Sampler)}
+		}
+		if err := domain(fmt.Sprintf("sampler %q", src.Sampler), proto.N()); err != nil {
+			return nil, info, err
+		}
+		return proto.Fork(rng.New(samplerSeed)), info, nil
+	default:
+		st, ok := s.streams.Get(src.Stream)
+		if !ok {
+			return nil, info, &badRequest{code: client.ErrCodeNotFound, msg: fmt.Sprintf("%sstream %q is not registered", prefix, src.Stream)}
+		}
+		if err := domain(fmt.Sprintf("stream %q", src.Stream), st.Acc.N()); err != nil {
+			return nil, info, err
+		}
+		o, info := streamReplay(st, shuffleSeed)
+		return o, info, nil
+	}
+}
+
+// streamReplay is source's stream branch for a stream already looked up:
+// it snapshots the window into a pooled Counts, released before
+// returning — NewCountsReplay copies what it needs.
+func streamReplay(st *stream.Stream, shuffleSeed uint64) (oracle.Oracle, sourceInfo) {
+	counts, snap := st.Acc.Snapshot()
+	o := oracle.NewCountsReplay(counts, rng.New(shuffleSeed))
+	counts.Release()
+	return o, sourceInfo{datasetLen: int(snap.Events), snap: snap}
+}
+
+// limits applies the serving limits every run gets, whatever its
+// endpoint. workers is the requested within-run fan-out: serial unless
+// the request asks for more, and never above the deployment's
+// SieveWorkers (withDefaults keeps that >= 1). Clamping never changes a
+// verdict — the fan-out is a pure throughput knob — so clamped runs
+// still match direct ones. maxSamples is the tester's own budget guard,
+// replaced by MaxSamplesPerRun when the deployment sets one. timeoutMS
+// is the requested deadline: 0 takes DefaultTimeout, anything else is
+// clamped to MaxTimeout BEFORE the conversion to a Duration, which
+// overflows (and would wrap negative, i.e. to "no deadline") for
+// timeoutMS >= 2⁶³/10⁶.
+func (s *Server) limits(workers int, maxSamples, timeoutMS int64) (int, int64, time.Duration, error) {
+	if timeoutMS < 0 {
+		return 0, 0, 0, badReqf("timeout_ms = %d must not be negative", timeoutMS)
+	}
+	w := 1
+	if workers > 1 {
+		w = min(workers, s.cfg.SieveWorkers)
+	}
+	if s.cfg.MaxSamplesPerRun > 0 {
+		maxSamples = s.cfg.MaxSamplesPerRun
+	}
+	var timeout time.Duration
+	switch {
+	case timeoutMS == 0:
+		timeout = max(s.cfg.DefaultTimeout, 0)
+	case timeoutMS > int64(s.cfg.MaxTimeout/time.Millisecond):
+		timeout = s.cfg.MaxTimeout
+	default:
+		timeout = time.Duration(timeoutMS) * time.Millisecond
+	}
+	return w, maxSamples, timeout, nil
 }
 
 // buildSampler validates a wire spec and builds the alias-table sampler

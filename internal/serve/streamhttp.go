@@ -13,8 +13,6 @@ import (
 	"repro/histtest/client"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/oracle"
-	"repro/internal/rng"
 	"repro/internal/stream"
 )
 
@@ -245,11 +243,11 @@ func (s *Server) handleStreamTest(w http.ResponseWriter, r *http.Request) {
 		s.failRequest(w, badReqf("decoding request: %v", err))
 		return
 	}
-	if req.TimeoutMS < 0 {
-		s.failRequest(w, badReqf("timeout_ms = %d must not be negative", req.TimeoutMS))
+	sp, snap, err := s.buildStreamRunSpec(st, req.Seed, req.Workers, req.TimeoutMS)
+	if err != nil {
+		s.failRequest(w, err)
 		return
 	}
-	sp, snap, seed := s.buildStreamRunSpec(st, req.Seed, req.Workers, req.TimeoutMS)
 	j, err := s.submit(r.Context(), sp, 0)
 	if err != nil {
 		s.writeError(w, admitErr(err), err)
@@ -257,7 +255,7 @@ func (s *Server) handleStreamTest(w http.ResponseWriter, r *http.Request) {
 	}
 	res := await(j)
 	obs.Ingest().Tests.Add(1)
-	st.RecordTest(testRecord(res, snap, seed))
+	st.RecordTest(testRecord(res, snap, sp.seed))
 	if res.Err != "" {
 		s.writeError(w, res.Code, errors.New(res.Err))
 		return
@@ -268,56 +266,35 @@ func (s *Server) handleStreamTest(w http.ResponseWriter, r *http.Request) {
 		StreamID:   st.ID,
 		Events:     snap.Events,
 		Distinct:   snap.Distinct,
-		Seed:       seed,
+		Seed:       sp.seed,
 	})
 }
 
-// buildStreamRunSpec snapshots the stream's window and resolves the run
-// exactly as resolve does for wire requests: same preset, clamp, and
-// timeout rules, so a stream test is an ordinary run whose oracle
-// happens to replay accumulated counts. The pooled snapshot Counts is
-// released before returning — NewCountsReplay copies what it needs.
-func (s *Server) buildStreamRunSpec(st *stream.Stream, seedOverride uint64, workers int, timeoutMS int64) (*runSpec, stream.SnapshotStats, uint64) {
+// buildStreamRunSpec resolves a test of the stream's live window: its
+// oracle is source's stream branch (the stream is already in hand, and a
+// janitor retest must not count as a lookup that refreshes the TTL
+// clock), its parameters the stream's own, and the serving limits the
+// same as every other run's, so a stream test is an ordinary run whose
+// oracle happens to replay accumulated counts. seed overrides the
+// stream's test seed when non-zero.
+func (s *Server) buildStreamRunSpec(st *stream.Stream, seed uint64, workers int, timeoutMS int64) (*runSpec, stream.SnapshotStats, error) {
 	params := st.Cfg.Params
-	seed := seedOverride
 	if seed == 0 {
 		seed = params.Seed
 	}
-	counts, snap := st.Acc.Snapshot()
-	o := oracle.NewCountsReplay(counts, rng.New(seed^streamShuffleSalt))
-	counts.Release()
-
 	cfg := core.PracticalConfig()
 	if params.Cfg == "paper" {
 		cfg = core.PaperConfig()
 	}
-	cfg.Workers = 1
-	if workers > 1 {
-		cfg.Workers = min(workers, s.cfg.SieveWorkers)
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
+	sp := &runSpec{k: params.K, eps: params.Eps, seed: seed}
+	var err error
+	if cfg.Workers, cfg.MaxSamples, sp.timeout, err = s.limits(workers, cfg.MaxSamples, timeoutMS); err != nil {
+		return nil, stream.SnapshotStats{}, err
 	}
-	if s.cfg.MaxSamplesPerRun > 0 {
-		cfg.MaxSamples = s.cfg.MaxSamplesPerRun
-	}
-	sp := &runSpec{
-		o:          o,
-		k:          params.K,
-		eps:        params.Eps,
-		seed:       seed,
-		cfg:        cfg,
-		datasetLen: int(snap.Events),
-	}
-	switch {
-	case timeoutMS == 0:
-		if s.cfg.DefaultTimeout > 0 {
-			sp.timeout = s.cfg.DefaultTimeout
-		}
-	default:
-		sp.timeout = min(time.Duration(timeoutMS)*time.Millisecond, s.cfg.MaxTimeout)
-	}
-	return sp, snap, seed
+	sp.cfg = cfg
+	o, info := streamReplay(st, seed^streamShuffleSalt)
+	sp.o, sp.datasetLen = o, info.datasetLen
+	return sp, info.snap, nil
 }
 
 // testRecord condenses a run result into the stream's last-test record.
@@ -405,7 +382,7 @@ func (s *Server) janitorTick(now time.Time) {
 // scheduleRetest submits one automatic re-test for the stream. The
 // verdict lands in the stream's last-test record; nobody blocks on it.
 func (s *Server) scheduleRetest(st *stream.Stream) {
-	sp, snap, seed := s.buildStreamRunSpec(st, 0, 0, 0)
+	sp, snap, _ := s.buildStreamRunSpec(st, 0, 0, 0) // no request limits to violate
 	j, err := s.submit(context.Background(), sp, 0)
 	if err != nil {
 		return // queue full or draining: skip this beat, the clock fires again
@@ -413,6 +390,6 @@ func (s *Server) scheduleRetest(st *stream.Stream) {
 	go func() {
 		res := await(j)
 		obs.Ingest().Tests.Add(1)
-		st.RecordTest(testRecord(res, snap, seed))
+		st.RecordTest(testRecord(res, snap, sp.seed))
 	}()
 }

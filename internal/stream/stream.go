@@ -1,127 +1,18 @@
-// Package stream provides the sampling primitives for running the tester
-// over live data streams — the streaming-histogram setting the paper's
-// introduction cites ([GGI+02], [GKS06]): reservoir sampling (a uniform
-// sample of everything seen), sliding windows (the most recent W events),
-// and a chunker that hands fixed-size windows to a testing callback.
+// Package stream runs the tester over live data streams — the
+// streaming-histogram setting the paper's introduction cites ([GGI+02],
+// [GKS06]). It has two parts: the sharded ingestion engine behind histd's
+// /v1/streams endpoints (Accumulator, Registry, and the ndjson/binary
+// event decoders), whose windowed counts are snapshotted and replayed
+// into the tester, and a Chunker that hands fixed-size chunks of an
+// in-process stream to a testing callback.
 //
 // The distribution-testing model needs i.i.d. samples; for a stream whose
-// events are exchangeable within the period of interest, a uniform
-// reservoir over that period (or a window of recent events) provides
-// exactly that, and its size can be matched to the tester's budget via
-// histtest.RequiredSamples.
+// events are exchangeable within the period of interest, a window of
+// recent events provides exactly that, and its size can be matched to
+// the tester's budget via histtest.RequiredSamples.
 package stream
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/rng"
-)
-
-// Reservoir maintains a uniform random sample of fixed capacity over an
-// unbounded stream (Vitter's Algorithm L: O(capacity·(1+log(n/capacity)))
-// random numbers over n events).
-type Reservoir struct {
-	cap   int
-	items []int
-	seen  int64
-	r     *rng.RNG
-	// skip state for Algorithm L
-	w    float64
-	next int64
-}
-
-// NewReservoir returns a reservoir holding up to capacity items.
-func NewReservoir(capacity int, r *rng.RNG) (*Reservoir, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("stream: reservoir capacity %d must be positive", capacity)
-	}
-	return &Reservoir{cap: capacity, items: make([]int, 0, capacity), r: r, w: 1}, nil
-}
-
-// Offer feeds one stream event to the reservoir.
-func (rv *Reservoir) Offer(v int) {
-	rv.seen++
-	if len(rv.items) < rv.cap {
-		rv.items = append(rv.items, v)
-		if len(rv.items) == rv.cap {
-			rv.advance()
-		}
-		return
-	}
-	if rv.seen >= rv.next {
-		rv.items[rv.r.Intn(rv.cap)] = v
-		rv.advance()
-	}
-}
-
-// advance draws the next acceptance index per Algorithm L.
-func (rv *Reservoir) advance() {
-	rv.w *= math.Exp(math.Log(rv.r.Float64Open()) / float64(rv.cap))
-	skip := math.Floor(math.Log(rv.r.Float64Open())/math.Log1p(-rv.w)) + 1
-	if skip < 1 || math.IsNaN(skip) || math.IsInf(skip, 0) {
-		skip = 1
-	}
-	rv.next = rv.seen + int64(skip)
-}
-
-// Seen returns the number of events offered so far.
-func (rv *Reservoir) Seen() int64 { return rv.seen }
-
-// Len returns the number of items currently held.
-func (rv *Reservoir) Len() int { return len(rv.items) }
-
-// Snapshot returns a copy of the current sample (unordered).
-func (rv *Reservoir) Snapshot() []int {
-	return append([]int(nil), rv.items...)
-}
-
-// Window keeps the most recent capacity events of a stream (ring buffer).
-type Window struct {
-	buf   []int
-	size  int
-	head  int
-	total int64
-}
-
-// NewWindow returns a sliding window of the given capacity.
-func NewWindow(capacity int) (*Window, error) {
-	if capacity < 1 {
-		return nil, fmt.Errorf("stream: window capacity %d must be positive", capacity)
-	}
-	return &Window{buf: make([]int, capacity)}, nil
-}
-
-// Offer feeds one event.
-func (w *Window) Offer(v int) {
-	w.buf[w.head] = v
-	w.head = (w.head + 1) % len(w.buf)
-	if w.size < len(w.buf) {
-		w.size++
-	}
-	w.total++
-}
-
-// Full reports whether the window has reached capacity.
-func (w *Window) Full() bool { return w.size == len(w.buf) }
-
-// Len returns the current number of buffered events.
-func (w *Window) Len() int { return w.size }
-
-// Seen returns the number of events offered so far.
-func (w *Window) Seen() int64 { return w.total }
-
-// Snapshot returns the window contents in arrival order (oldest first).
-func (w *Window) Snapshot() []int {
-	out := make([]int, w.size)
-	if w.size < len(w.buf) {
-		copy(out, w.buf[:w.size])
-		return out
-	}
-	n := copy(out, w.buf[w.head:])
-	copy(out[n:], w.buf[:w.head])
-	return out
-}
+import "fmt"
 
 // Verdict is one chunk decision from a Chunker.
 type Verdict struct {

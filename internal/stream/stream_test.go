@@ -2,131 +2,8 @@ package stream
 
 import (
 	"errors"
-	"math"
 	"testing"
-
-	"repro/internal/rng"
 )
-
-func TestReservoirValidation(t *testing.T) {
-	if _, err := NewReservoir(0, rng.New(1)); err == nil {
-		t.Fatal("capacity 0 accepted")
-	}
-}
-
-func TestReservoirFillsThenHolds(t *testing.T) {
-	r := rng.New(1)
-	rv, err := NewReservoir(10, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		rv.Offer(i)
-	}
-	if rv.Len() != 5 || rv.Seen() != 5 {
-		t.Fatalf("len=%d seen=%d", rv.Len(), rv.Seen())
-	}
-	for i := 5; i < 1000; i++ {
-		rv.Offer(i)
-	}
-	if rv.Len() != 10 {
-		t.Fatalf("len=%d after overflow", rv.Len())
-	}
-	if rv.Seen() != 1000 {
-		t.Fatalf("seen=%d", rv.Seen())
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Each of n stream positions should appear in the reservoir with
-	// probability capacity/n.
-	r := rng.New(2)
-	const capacity, n, reps = 20, 400, 3000
-	counts := make([]int, n)
-	for rep := 0; rep < reps; rep++ {
-		rv, _ := NewReservoir(capacity, r)
-		for i := 0; i < n; i++ {
-			rv.Offer(i)
-		}
-		for _, v := range rv.Snapshot() {
-			counts[v]++
-		}
-	}
-	want := float64(reps) * capacity / n
-	// Check aggregate uniformity over quarters of the stream (early
-	// positions must not be over- or under-represented).
-	for q := 0; q < 4; q++ {
-		sum := 0
-		for i := q * n / 4; i < (q+1)*n/4; i++ {
-			sum += counts[i]
-		}
-		got := float64(sum) / float64(n/4)
-		if math.Abs(got-want) > 0.08*want {
-			t.Fatalf("quarter %d mean inclusion %v, want %v", q, got, want)
-		}
-	}
-}
-
-func TestReservoirSnapshotIsCopy(t *testing.T) {
-	r := rng.New(3)
-	rv, _ := NewReservoir(4, r)
-	for i := 0; i < 4; i++ {
-		rv.Offer(i)
-	}
-	snap := rv.Snapshot()
-	snap[0] = 999
-	if rv.Snapshot()[0] == 999 {
-		t.Fatal("snapshot aliases internal storage")
-	}
-}
-
-func TestWindowValidation(t *testing.T) {
-	if _, err := NewWindow(0); err == nil {
-		t.Fatal("capacity 0 accepted")
-	}
-}
-
-func TestWindowOrderAndEviction(t *testing.T) {
-	w, err := NewWindow(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Offer(1)
-	w.Offer(2)
-	if w.Full() {
-		t.Fatal("window full too early")
-	}
-	snap := w.Snapshot()
-	if len(snap) != 2 || snap[0] != 1 || snap[1] != 2 {
-		t.Fatalf("partial snapshot = %v", snap)
-	}
-	w.Offer(3)
-	w.Offer(4) // evicts 1
-	w.Offer(5) // evicts 2
-	if !w.Full() || w.Len() != 3 || w.Seen() != 5 {
-		t.Fatalf("full=%v len=%d seen=%d", w.Full(), w.Len(), w.Seen())
-	}
-	snap = w.Snapshot()
-	want := []int{3, 4, 5}
-	for i := range want {
-		if snap[i] != want[i] {
-			t.Fatalf("snapshot = %v, want %v", snap, want)
-		}
-	}
-}
-
-func TestWindowWrapsRepeatedly(t *testing.T) {
-	w, _ := NewWindow(7)
-	for i := 0; i < 1000; i++ {
-		w.Offer(i)
-	}
-	snap := w.Snapshot()
-	for i, v := range snap {
-		if v != 993+i {
-			t.Fatalf("snapshot[%d] = %d", i, v)
-		}
-	}
-}
 
 func TestChunkerValidation(t *testing.T) {
 	if _, err := NewChunker(0, func([]int) (bool, error) { return true, nil }); err == nil {
