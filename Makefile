@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short conformance conformance-list orphans bench bench-json bench-ingest-json bench-gate soak-smoke experiments experiments-quick examples fuzz fuzz-smoke race test-race vet lint lint-tools cover cover-json clean FORCE
+.PHONY: build test test-short conformance conformance-list orphans results-check bench bench-json bench-ingest-json bench-gate soak-smoke experiments experiments-quick examples fuzz fuzz-smoke race test-race vet lint lint-tools cover cover-json clean FORCE
 
 build:
 	$(GO) build ./...
@@ -73,6 +73,14 @@ orphans:
 				print "ORPHAN PACKAGE: " p " has no importer outside its own tests" > "/dev/stderr"; bad = 1 } } \
 			if (!bad) print "orphans: every internal package has a non-test importer"; \
 			exit bad }'
+
+# Committed-results check: rerun the E14 and E15 tables at their
+# committed seed and diff them against results/, so a change that moves
+# a verdict, a sample count or a table fails until the tables are
+# regenerated (go run ./cmd/histbench -run E15 -seed 3 -csv results/).
+results-check:
+	$(GO) run ./cmd/histbench -run E14 -seed 3 | diff -u results/e14_seed3.txt -
+	$(GO) run ./cmd/histbench -run E15 -seed 3 | diff -u results/e15_seed3.txt -
 
 # Full race-detector pass; the sieve fan-out in internal/core is the
 # main concurrent code path.

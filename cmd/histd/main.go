@@ -15,7 +15,8 @@
 //	POST /v1/test         run the tester once
 //	POST /v1/test/stream  run a batch, results streamed as JSON lines
 //	POST /v1/closeness    two-sample closeness: are two sources serving
-//	                      the same distribution? (see -closeness-reps)
+//	                      the same distribution? (request "reps" sets
+//	                      the majority vote; default 5)
 //	POST /v1/samplers     register a distribution spec for reuse
 //	POST /v1/streams      register an ingestion stream (see -max-streams)
 //	POST /v1/streams/{id}/events  ingest raw events (ndjson or binary)
@@ -72,7 +73,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		tenantQuota  = fs.Int("tenant-streams", 0, "max live ingestion streams per tenant; 0 = 32")
 		streamTTL    = fs.Duration("stream-ttl", 0, "evict ingestion streams idle this long; 0 = 15m")
 		ingestQueue  = fs.Int("ingest-queue", 0, "max concurrently decoding ingest batches before 429 pushback; 0 = 2x workers")
-		closeReps    = fs.Int("closeness-reps", 0, "default majority-amplification replicates for /v1/closeness runs; 0 = 5, negative = single-shot")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -94,7 +94,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		StreamTenantQuota: *tenantQuota,
 		StreamTTL:         *streamTTL,
 		IngestQueue:       *ingestQueue,
-		ClosenessReps:     *closeReps,
 	}
 	if *timeout == 0 {
 		cfg.DefaultTimeout = -1 // serve treats negative as "no default deadline"

@@ -1,9 +1,11 @@
 // A/B comparison: decide from samples alone whether two deployments
-// serve the same distribution — canary analysis with the two-sample
-// (closeness) tester, the [CDVV14] primitive the paper's χ² machinery
-// descends from (footnote 2). No model of either side is needed; the
-// cost is O(max(n^{2/3}/ε^{4/3}, √n/ε²)) samples per side, sublinear in
-// the domain.
+// serve the same distribution — canary analysis with the [DKN17]
+// two-sample (closeness) tester, built on the [CDVV14] statistic the
+// paper's χ² machinery descends from (footnote 2). No model of either
+// side is needed. Both latency profiles are k-histograms, so the tester
+// works on a reduced domain whose size depends on k and ε, not on n;
+// passing k = n drops the promise and pays the full-domain
+// O(max(n^{2/3}/ε^{4/3}, √n/ε²)) samples per side.
 //
 //	go run ./examples/abcompare
 package main
@@ -17,6 +19,7 @@ import (
 
 const (
 	n   = 1 << 12 // e.g. bucketized latency in 4096 microsecond cells
+	k   = 4       // both profiles are 4-histograms
 	eps = 0.25
 )
 
@@ -40,7 +43,7 @@ func main() {
 
 	check := func(name string, canary *histtest.Histogram, seed uint64) {
 		v, err := histtest.TestCloseness(
-			prodA.Sampler(seed), canary.Sampler(seed+100), n, eps,
+			prodA.Sampler(seed), canary.Sampler(seed+100), n, k, eps,
 			histtest.Options{Seed: seed + 200},
 		)
 		if err != nil {

@@ -25,24 +25,27 @@ func NewGrid(lo, hi float64, n int) (*Grid, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("histtest: grid needs n >= 1 cells, got %d", n)
 	}
-	return &Grid{Lo: lo, Hi: hi, N: n, width: (hi - lo) / float64(n)}, nil
+	width := (hi - lo) / float64(n)
+	if !(width > 0) || math.IsInf(width, 0) {
+		return nil, fmt.Errorf("histtest: grid range [%v, %v) over %d cells has cell width %v", lo, hi, n, width)
+	}
+	return &Grid{Lo: lo, Hi: hi, N: n, width: width}, nil
 }
 
 // Cell maps a continuous value to its grid cell in [0, n). Values outside
 // [lo, hi) clamp to the boundary cells (standard practice for histogram
-// sketches; callers wanting strict behaviour should filter first).
+// sketches; callers wanting strict behaviour should filter first), NaN
+// to cell 0. The clamp happens in float, so values far outside the range
+// and ±Inf never overflow the int conversion.
 func (g *Grid) Cell(x float64) int {
-	if math.IsNaN(x) {
+	c := math.Floor((x - g.Lo) / g.width)
+	if math.IsNaN(c) || c < 0 {
 		return 0
 	}
-	c := int(math.Floor((x - g.Lo) / g.width))
-	if c < 0 {
-		return 0
-	}
-	if c >= g.N {
+	if c >= float64(g.N) {
 		return g.N - 1
 	}
-	return c
+	return int(c)
 }
 
 // Discretize maps a continuous dataset to grid cells, ready for

@@ -20,6 +20,11 @@ func TestNewGridValidation(t *testing.T) {
 	if _, err := NewGrid(math.Inf(-1), 1, 4); err == nil {
 		t.Fatal("infinite range accepted")
 	}
+	// Finite bounds whose span overflows: width = +Inf would map every
+	// value to cell 0.
+	if _, err := NewGrid(-1e308, 1e308, 10); err == nil {
+		t.Fatal("range with infinite cell width accepted")
+	}
 }
 
 func TestGridCellMapping(t *testing.T) {
@@ -36,6 +41,10 @@ func TestGridCellMapping(t *testing.T) {
 		{10, 4},  // clamped high
 		{100, 4}, // clamped high
 		{math.NaN(), 0},
+		// Far outside the range: the clamp must not overflow the int
+		// conversion.
+		{1e20, 4}, {1e300, 4}, {math.Inf(1), 4},
+		{-1e300, 0}, {math.Inf(-1), 0},
 	}
 	for _, c := range cases {
 		if got := g.Cell(c.x); got != c.want {

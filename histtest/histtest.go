@@ -21,6 +21,7 @@
 package histtest
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/chisq"
@@ -257,7 +258,7 @@ func TestIdentity(src Source, reference *Histogram, eps float64, opt Options) (V
 	n := reference.N()
 	o := &sourceOracle{n: n, src: src}
 	cfg := opt.config()
-	res := chisq.Test(o, opt.rng(), reference.pc, intervals.FullDomain(n), eps, cfg.Chi)
+	res := chisq.TestWith(o, opt.rng(), reference.pc, intervals.FullDomain(n), eps, cfg.Chi, oracle.CountExact)
 	v := Verdict{IsKHistogram: res.Accept, SamplesUsed: o.count}
 	if !res.Accept {
 		v.Stage = "identity"
@@ -275,23 +276,28 @@ func RequiredIdentitySamples(n int, eps float64, opt Options) int64 {
 // TestCloseness is the two-sample companion: given two sample sources
 // over the same domain [0, n), decide whether they follow the SAME
 // distribution (accept w.p. >= 2/3) or distributions ε-far in total
-// variation (reject w.p. >= 2/3) — the [CDVV14] closeness tester whose χ²
-// statistic the paper's machinery descends from (footnote 2), at
-// O(max(n^{2/3}/ε^{4/3}, √n/ε²)) samples per source.
-func TestCloseness(srcA, srcB Source, n int, eps float64, opt Options) (Verdict, error) {
-	if n < 1 {
-		return Verdict{}, fmt.Errorf("histtest: n = %d must be positive", n)
-	}
-	if eps <= 0 || eps > 1 {
-		return Verdict{}, fmt.Errorf("histtest: eps = %v must be in (0, 1]", eps)
+// variation (reject w.p. >= 2/3). It runs the [DKN17] histogram closeness
+// tester that /v1/closeness serves, with the same default constants: when
+// both distributions are promised (close to) k-histograms, it tests on a
+// reduced domain whose size depends on k and ε, not n. k >= n makes no
+// promise and runs the full-domain [CDVV14] test, at
+// O(max(n^{2/3}/ε^{4/3}, √n/ε²)) samples per source. Options.Seed and
+// Options.Scale apply; a nominal budget above 2³¹ samples is an error.
+func TestCloseness(srcA, srcB Source, n, k int, eps float64, opt Options) (Verdict, error) {
+	cfg := closeness.DefaultConfig()
+	if opt.Scale > 0 && opt.Scale != 1 {
+		cfg = cfg.Scale(opt.Scale)
 	}
 	oa := &sourceOracle{n: n, src: srcA}
 	ob := &sourceOracle{n: n, src: srcB}
-	res := closeness.Test(oa, ob, opt.rng(), eps, closeness.DefaultParams())
-	v := Verdict{IsKHistogram: res.Accept, SamplesUsed: oa.count + ob.count}
+	res, err := closeness.TestTwoSample(context.Background(), oa, ob, opt.rng(), k, eps, cfg)
+	if err != nil {
+		return Verdict{}, err
+	}
+	v := Verdict{IsKHistogram: res.Accept, SamplesUsed: res.SamplesX + res.SamplesY}
 	if !res.Accept {
 		v.Stage = "closeness"
-		v.Detail = fmt.Sprintf("two-sample χ² statistic %.1f above threshold %.1f", res.Z, res.Threshold)
+		v.Detail = fmt.Sprintf("%d of %d replicates accepted; median two-sample χ² statistic %.1f above threshold %.1f", res.Accepts, res.Reps, res.Z, res.Threshold)
 	}
 	return v, nil
 }

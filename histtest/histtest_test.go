@@ -464,7 +464,7 @@ func TestClosenessPublicAPI(t *testing.T) {
 	// Same distribution behind both sources: accept.
 	accepts := 0
 	for i := uint64(0); i < 10; i++ {
-		v, err := TestCloseness(a.Sampler(900+i), a.Sampler(950+i), 1024, 0.3, Options{Seed: 1000 + i})
+		v, err := TestCloseness(a.Sampler(900+i), a.Sampler(950+i), 1024, 4, 0.3, Options{Seed: 1000 + i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,7 +485,7 @@ func TestClosenessPublicAPI(t *testing.T) {
 	}
 	rejects := 0
 	for i := uint64(0); i < 10; i++ {
-		v, err := TestCloseness(a.Sampler(1100+i), b.Sampler(1150+i), 1024, 0.3, Options{Seed: 1200 + i})
+		v, err := TestCloseness(a.Sampler(1100+i), b.Sampler(1150+i), 1024, 4, 0.3, Options{Seed: 1200 + i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -499,10 +499,25 @@ func TestClosenessPublicAPI(t *testing.T) {
 	if rejects < 8 {
 		t.Fatalf("far-pair closeness rejected %d/10", rejects)
 	}
-	if _, err := TestCloseness(a.Sampler(1), a.Sampler(2), 0, 0.3, Options{}); err == nil {
+	if _, err := TestCloseness(a.Sampler(1), a.Sampler(2), 0, 4, 0.3, Options{}); err == nil {
 		t.Fatal("n=0 accepted")
 	}
-	if _, err := TestCloseness(a.Sampler(1), a.Sampler(2), 1024, 0, Options{}); err == nil {
+	if _, err := TestCloseness(a.Sampler(1), a.Sampler(2), 1024, 0, 0.3, Options{}); err == nil {
+		t.Fatal("k=0 accepted")
+	}
+	if _, err := TestCloseness(a.Sampler(1), a.Sampler(2), 1024, 4, 0, Options{}); err == nil {
 		t.Fatal("eps=0 accepted")
+	}
+	// Options.Scale shrinks every stage's budget.
+	full, err := TestCloseness(a.Sampler(1), a.Sampler(2), 1024, 4, 0.3, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := TestCloseness(a.Sampler(1), a.Sampler(2), 1024, 4, 0.3, Options{Seed: 3, Scale: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := float64(half.SamplesUsed) / float64(full.SamplesUsed); r < 0.4 || r > 0.6 {
+		t.Fatalf("Scale 0.5 used %d samples vs %d at Scale 1 (ratio %.2f, want ~0.5)", half.SamplesUsed, full.SamplesUsed, r)
 	}
 }

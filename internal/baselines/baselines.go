@@ -230,7 +230,7 @@ func (t *CDGR16) Run(ctx context.Context, o oracle.Oracle, r *rng.RNG, k int, ep
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		res := chisq.Test(o, r, dhat, full, t.TestEpsFactor*eps, t.Chi)
+		res := chisq.TestWith(o, r, dhat, full, t.TestEpsFactor*eps, t.Chi, oracle.CountExact)
 		return res.Accept, nil
 	})
 }

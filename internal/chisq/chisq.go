@@ -237,22 +237,19 @@ type Result struct {
 	Drawn int
 }
 
-// Test runs the [ADK15] identity tester restricted to the sub-domain g:
-// draw Poisson(m) samples from o, accept iff Z <= AcceptFactor·m·ε².
+// TestWith runs the [ADK15] identity tester restricted to the sub-domain
+// g: draw Poisson(m) samples from o, accept iff Z <= AcceptFactor·m·ε².
 //
 // Guarantees (Theorem 3.2, for the paper's constants): if
 // dχ²(D‖D*) <= ε²/500 restricted to g it accepts w.p. >= 2/3; if
 // dTV(D,D*) >= ε restricted to g it rejects w.p. >= 2/3.
-func Test(o oracle.Oracle, r *rng.RNG, dstar dist.Distribution, g *intervals.Domain, eps float64, params Params) Result {
-	return TestWith(o, r, dstar, g, eps, params, oracle.CountExact)
-}
-
-// TestWith is Test with an explicit count-synthesis strategy for the
-// Poissonized batch: oracle.CountExact draws per sample (Test verbatim);
-// oracle.CountClosedForm synthesizes the count vector from a known
-// sampler's run structure (falling back to exact for oracles without the
-// capability). The statistic, threshold, and guarantees are unchanged —
-// only how the counts are materialized.
+//
+// cs is the count-synthesis strategy for the Poissonized batch:
+// oracle.CountExact draws per sample; oracle.CountClosedForm synthesizes
+// the count vector from a known sampler's run structure (falling back to
+// exact for oracles without the capability). The statistic, threshold,
+// and guarantees are the same either way — only how the counts are
+// materialized differs.
 func TestWith(o oracle.Oracle, r *rng.RNG, dstar dist.Distribution, g *intervals.Domain, eps float64, params Params, cs oracle.CountStrategy) Result {
 	n := dstar.N()
 	m := params.SampleMean(n, eps)
@@ -265,7 +262,7 @@ func TestWith(o oracle.Oracle, r *rng.RNG, dstar dist.Distribution, g *intervals
 	return Result{Accept: z <= thr, Z: z, Threshold: thr, M: m, Drawn: drawn}
 }
 
-// TestFixed is Test without the Poissonization trick: it draws exactly m
+// TestFixed is TestWith without the Poissonization trick: it draws exactly m
 // samples instead of Poisson(m). The per-element counts are then
 // multinomial — negatively correlated rather than independent — which the
 // paper's analysis avoids by Poissonizing (Section 2). Provided for the
@@ -280,20 +277,4 @@ func TestFixed(o oracle.Oracle, r *rng.RNG, dstar dist.Distribution, g *interval
 	z := ZDomain(counts, dstar, g, m, tau)
 	thr := params.AcceptFactor * m * eps * eps
 	return Result{Accept: z <= thr, Z: z, Threshold: thr, M: m, Drawn: drawn}
-}
-
-// TestAmplified repeats Test reps times and accepts on the majority vote,
-// boosting the 2/3 success probability to 1-δ with Θ(log 1/δ) reps
-// (the standard amplification invoked in Section 3.2.1).
-func TestAmplified(o oracle.Oracle, r *rng.RNG, dstar dist.Distribution, g *intervals.Domain, eps float64, params Params, reps int) bool {
-	if reps < 1 {
-		reps = 1
-	}
-	accepts := 0
-	for i := 0; i < reps; i++ {
-		if Test(o, r, dstar, g, eps, params).Accept {
-			accepts++
-		}
-	}
-	return 2*accepts > reps
 }

@@ -196,7 +196,7 @@ func TestTesterCompleteness(t *testing.T) {
 	accepts := 0
 	const trials = 60
 	for i := 0; i < trials; i++ {
-		if Test(s, r, d, fullDomain(n), 0.25, params).Accept {
+		if TestWith(s, r, d, fullDomain(n), 0.25, params, oracle.CountExact).Accept {
 			accepts++
 		}
 	}
@@ -222,7 +222,7 @@ func TestTesterSoundness(t *testing.T) {
 	rejects := 0
 	const trials = 60
 	for i := 0; i < trials; i++ {
-		if !Test(s, r, dstar, fullDomain(n), 0.25, params).Accept {
+		if !TestWith(s, r, dstar, fullDomain(n), 0.25, params, oracle.CountExact).Accept {
 			rejects++
 		}
 	}
@@ -262,7 +262,7 @@ func TestTesterRestrictedIgnoresSievedRegion(t *testing.T) {
 	dstar := dist.MustDense(q)
 	accepts := 0
 	for i := 0; i < trials; i++ {
-		if Test(s, r, dstar, g, 0.25, params).Accept {
+		if TestWith(s, r, dstar, g, 0.25, params, oracle.CountExact).Accept {
 			accepts++
 		}
 	}
@@ -272,7 +272,7 @@ func TestTesterRestrictedIgnoresSievedRegion(t *testing.T) {
 	// Sanity: the same pair over the full domain rejects.
 	rejects := 0
 	for i := 0; i < trials; i++ {
-		if !Test(s, r, dstar, fullDomain(n), 0.25, params).Accept {
+		if !TestWith(s, r, dstar, fullDomain(n), 0.25, params, oracle.CountExact).Accept {
 			rejects++
 		}
 	}
@@ -323,28 +323,12 @@ func TestFixedSamplingAgreesWithPoissonized(t *testing.T) {
 	}
 }
 
-func TestTestAmplified(t *testing.T) {
-	r := rng.New(9)
-	n := 128
-	d := dist.Uniform(n)
-	s := oracle.NewSampler(d, r)
-	wrong := 0
-	for i := 0; i < 30; i++ {
-		if !TestAmplified(s, r, d, fullDomain(n), 0.3, PracticalParams(), 9) {
-			wrong++
-		}
-	}
-	if wrong > 2 {
-		t.Fatalf("amplified tester failed %d/30 under the null", wrong)
-	}
-}
-
 func TestSampleAccounting(t *testing.T) {
 	r := rng.New(10)
 	n := 64
 	d := dist.Uniform(n)
 	s := oracle.NewSampler(d, r)
-	res := Test(s, r, d, fullDomain(n), 0.5, PracticalParams())
+	res := TestWith(s, r, d, fullDomain(n), 0.5, PracticalParams(), oracle.CountExact)
 	if int64(res.Drawn) != s.Samples() {
 		t.Fatalf("oracle counted %d, tester reports %d", s.Samples(), res.Drawn)
 	}

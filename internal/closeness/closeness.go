@@ -16,16 +16,16 @@
 // heavy elements) — this implementation follows their simpler variant that
 // thresholds Z directly, which preserves the sample-complexity scaling.
 //
-// The tester rounds out the repository's distribution-testing toolkit and
-// gives the experiments an independent χ²-flavored primitive to sanity-
-// check the ADK machinery against.
+// The one tester is Tester.Run (twosample.go), the DKN'17 reduction for
+// histogram pairs. With k >= n it skips the reduction and is exactly the
+// majority-amplified full-domain [CDVV14] test, so that case needs no
+// second implementation.
 package closeness
 
 import (
 	"math"
 
 	"repro/internal/oracle"
-	"repro/internal/rng"
 )
 
 // Params are the tester's tunable constants.
@@ -39,8 +39,9 @@ type Params struct {
 	ThresholdFactor float64
 }
 
-// DefaultParams returns calibrated constants (validated in the tests:
-// null acceptance and ε-far rejection both >= 3/4 at laptop scales).
+// DefaultParams returns the calibrated full-domain constants (validated in
+// the tests: null acceptance and ε-far rejection both >= 3/4 at laptop
+// scales). DefaultConfig's Chi is one MFactor notch above them.
 func DefaultParams() Params {
 	return Params{MFactor: 2, ThresholdFactor: 3}
 }
@@ -73,49 +74,4 @@ func Statistic(x, y *oracle.Counts) float64 {
 		z += float64(yi) - 1
 	})
 	return z
-}
-
-// Result reports one closeness test.
-type Result struct {
-	Accept       bool
-	Z, Threshold float64
-	M            float64
-	DrawnX       int
-	DrawnY       int
-}
-
-// Test decides whether the distributions behind the two oracles are equal
-// (accept w.p. >= 2/3) or ε-far in total variation (reject w.p. >= 2/3),
-// drawing Poisson(m) samples from each.
-func Test(px, py oracle.Oracle, r *rng.RNG, eps float64, params Params) Result {
-	n := px.N()
-	if py.N() != n {
-		panic("closeness: oracles over different domains")
-	}
-	m := params.SampleMean(n, eps)
-	sx := oracle.DrawPoisson(px, r, m)
-	sy := oracle.DrawPoisson(py, r, m)
-	x := oracle.NewCounts(n, sx)
-	y := oracle.NewCounts(n, sy)
-	z := Statistic(x, y)
-	// Null variance scale: each element with both counts zero contributes
-	// nothing; occupied elements contribute O(1) variance each, so the
-	// scale is √(#occupied) <= √(total counts).
-	occupied := float64(x.Distinct() + y.Distinct())
-	thr := params.ThresholdFactor * math.Sqrt(math.Max(occupied, 1))
-	return Result{Accept: z <= thr, Z: z, Threshold: thr, M: m, DrawnX: len(sx), DrawnY: len(sy)}
-}
-
-// TestAmplified repeats Test and takes the majority verdict.
-func TestAmplified(px, py oracle.Oracle, r *rng.RNG, eps float64, params Params, reps int) bool {
-	if reps < 1 {
-		reps = 1
-	}
-	accepts := 0
-	for i := 0; i < reps; i++ {
-		if Test(px, py, r, eps, params).Accept {
-			accepts++
-		}
-	}
-	return 2*accepts > reps
 }

@@ -20,8 +20,8 @@
 //     over the REDUCED domain of K intervals), fold each count vector
 //     onto the refinement (interval j of the partition becomes element j
 //     of a K-element domain), and threshold the [CDVV14] χ² statistic Z
-//     on the reduced vectors — exactly the statistic in this package's
-//     one-shot Test, over K elements instead of n.
+//     on the reduced vectors — the full-domain statistic, over K
+//     elements instead of n.
 //  3. Amplify — repeat stage 2 on fresh batches and take the majority
 //     verdict. Replicates fan out across Config.Workers when both
 //     oracles can fork; every replicate's randomness is split from r
@@ -51,7 +51,7 @@ import (
 // from DefaultConfig.
 type Config struct {
 	// Chi holds the [CDVV14] statistic constants, applied on the reduced
-	// domain (Test applies the same constants on the full domain).
+	// domain (on the full domain when the reduction does not apply).
 	Chi Params
 	// PartBFactor sets the reduction parameter
 	// b = PartBFactor·k·log2(k+2)/ε — the same shape as the one-sample
@@ -79,7 +79,7 @@ type Config struct {
 
 // DefaultConfig returns the calibrated practical constants (validated by
 // the operating-characteristic tests and E15). The χ² MFactor is one
-// notch above the one-shot Test default: on the reduced domain the
+// notch above the full-domain DefaultParams: on the reduced domain the
 // refinement packs whole intervals into single elements, so the far
 // pairs' signal concentrates on fewer, heavier cells and a marginal
 // batch size flips individual replicates near the boundary.
@@ -417,7 +417,9 @@ func fold(c *oracle.Counts, p *intervals.Partition, out *oracle.Counts) {
 }
 
 // decide scores one count-vector pair: the [CDVV14] statistic against
-// its occupied-scale threshold (see Test for the variance rationale).
+// its occupied-scale threshold. Elements with both counts zero
+// contribute nothing, and occupied elements O(1) variance each, so the
+// null standard deviation scales as √(#occupied) <= √(total counts).
 func decide(x, y *oracle.Counts, chi Params) (z, thr float64) {
 	z = Statistic(x, y)
 	occupied := float64(x.Distinct() + y.Distinct())

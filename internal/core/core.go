@@ -87,6 +87,7 @@ type Arena struct {
 	order  []int       // removal ordering / heavy-index scratch
 	reprng []rng.RNG   // per-replicate RNG structs, re-split every round
 	jobs   []replicate // per-replicate fork bindings
+	mark   int64       // oracle draw count at the last stage boundary (took)
 
 	// Observability state of the in-flight TestContext call. A nil ob is
 	// the zero-overhead fast path: no events, no clock reads, no extra

@@ -5,6 +5,11 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/dist"
+	"repro/internal/histdp"
+	"repro/internal/intervals"
+	"repro/internal/learn"
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rng"
 )
@@ -98,4 +103,99 @@ func EngineFor(name string) (Engine, error) {
 		return nil, fmt.Errorf("core: unknown engine %q (registered: %v)", name, Engines())
 	}
 	return eng, nil
+}
+
+// The stages every engine shares. Each run opens with the partition →
+// learn prelude and ends on the H_k check and the result tail; an engine
+// owns only its middle (the ADK sieve and final χ² test, the CDKL'22
+// trimmed flatness test).
+
+// preludeSamples is the nominal budget of the shared prelude: one
+// ApproxPart batch plus the learner's batch over the K <= ~7b/3 + 2
+// intervals ApproxPart yields.
+func preludeSamples(k int, eps float64, cfg Config) int64 {
+	b := cfg.PartB(k, eps)
+	partM := learn.ApproxPartSamples(b, cfg.PartSampleC)
+	K := int(7*b/3) + 2
+	learnM := learn.LearnSamples(K, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
+	return int64(partM) + int64(learnM)
+}
+
+// prelude runs stage 1, ApproxPart(b) (Proposition 3.4), and stage 2,
+// the learner (Lemma 3.5), filling tr's N, B, K and stage sample counts
+// and emitting the stage events. It starts the sample mark that took
+// advances.
+func (a *Arena) prelude(ctx context.Context, o oracle.Oracle, r *rng.RNG, k int, eps float64, cfg Config, tr *Trace) (*intervals.Partition, *dist.PiecewiseConstant, error) {
+	tr.N = o.N()
+	a.mark = o.Samples()
+
+	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StagePartition})
+	tr.B = cfg.PartB(k, eps)
+	part, err := learn.ApproxPartContext(ctx, o, r, tr.B, cfg.PartSampleC)
+	if err != nil {
+		return nil, nil, err
+	}
+	p := part.Partition
+	tr.K = p.Count()
+	tr.PartitionSamples = a.took(o)
+	a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StagePartition, Samples: tr.PartitionSamples})
+
+	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageLearn})
+	dhat, _, err := learn.LearnContext(ctx, o, r, p, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
+	if err != nil {
+		return nil, nil, err
+	}
+	tr.LearnSamples = a.took(o)
+	a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageLearn, Samples: tr.LearnSamples})
+	return p, dhat, nil
+}
+
+// took returns o's draws since the last mark and advances the mark.
+func (a *Arena) took(o oracle.Oracle) int64 {
+	d := o.Samples() - a.mark
+	a.mark = o.Samples()
+	return d
+}
+
+// check runs the H_k check (Step 10 of Algorithm 1, the histdp DP):
+// unless skip, the distance of dhat to H_k on g must be within tol or
+// the run rejects at StageCheck; where names g in the reject reason. The
+// context is checked before the check and again before the stage that
+// follows it. A nil Result and nil error mean the run goes on.
+func (a *Arena) check(ctx context.Context, tr *Trace, dhat *dist.PiecewiseConstant, k int, g *intervals.Domain, where string, tol float64, skip bool) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return a.fail(tr.TotalSamples(), err)
+	}
+	if !skip {
+		a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageCheck})
+		proj, err := histdp.ProjectTV(dhat, k, g)
+		if err != nil {
+			return a.fail(tr.TotalSamples(), fmt.Errorf("core: check DP failed: %w", err))
+		}
+		tr.CheckRelaxed = proj.Relaxed
+		a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageCheck})
+		if proj.Relaxed > tol {
+			return a.reject(tr, dhat, g, StageCheck, fmt.Sprintf("distance of D̂ to H_k on %s is %.5f > tolerance %.5f", where, proj.Relaxed, tol))
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return a.fail(tr.TotalSamples(), err)
+	}
+	return nil, nil
+}
+
+// reject records the deciding stage and reason in tr and closes the run.
+func (a *Arena) reject(tr *Trace, dhat *dist.PiecewiseConstant, g *intervals.Domain, stage, reason string) (*Result, error) {
+	tr.RejectStage, tr.RejectReason = stage, reason
+	return a.finish(tr, dhat, g)
+}
+
+// finish closes a decided run: it emits RunEnd and returns the Result,
+// which accepts unless tr records a rejection.
+func (a *Arena) finish(tr *Trace, dhat *dist.PiecewiseConstant, g *intervals.Domain) (*Result, error) {
+	accept := tr.RejectStage == ""
+	if a.ob != nil {
+		a.emit(obs.Event{Kind: obs.KindRunEnd, Accept: accept, Samples: tr.TotalSamples(), RejectStage: tr.RejectStage})
+	}
+	return &Result{Accept: accept, Trace: *tr, Learned: dhat, Domain: g}, nil
 }

@@ -7,9 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/chisq"
-	"repro/internal/histdp"
 	"repro/internal/intervals"
-	"repro/internal/learn"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rng"
@@ -29,7 +27,7 @@ import (
 //	                                              chisq.ZPerInterval medians
 //	9-10 Checking: ∃D* ∈ H_k close to D̂ on G  →  histdp.ProjectTV (the
 //	     by dynamic programming                   [CDGR16, Lemma 4.11] DP)
-//	12-13 Testing: Tester(n, ε0, D̂) on G       →  chisq.Test (Theorem 3.2)
+//	12-13 Testing: Tester(n, ε0, D̂) on G       →  chisq.TestWith (Theorem 3.2)
 //	14 accept                                   →  the final return
 //
 // Each stage draws fresh samples; Trace records the per-stage accounting.
@@ -41,51 +39,21 @@ func (adkEngine) Name() string { return "adk" }
 // ExpectedSamples implements Engine: the Theorem 3.1 accounting —
 // partition + learn + sieve reps×(rounds+1) batches + final test.
 func (adkEngine) ExpectedSamples(n, k int, eps float64, cfg Config) int64 {
-	b := cfg.PartB(k, eps)
-	partM := learn.ApproxPartSamples(b, cfg.PartSampleC)
-	// ApproxPart yields K <= ~7b/3 + #heavy + 2 intervals.
-	K := int(7*b/3) + 2
-	learnM := learn.LearnSamples(K, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
 	alpha := cfg.Alpha(eps)
 	mSieve := cfg.SieveMFactor * math.Sqrt(float64(n)) / (alpha * alpha)
 	sieveM := mSieve * float64(cfg.sieveReps(k)) * float64(cfg.SieveRounds(k)+1)
 	testM := cfg.Chi.SampleMean(n, cfg.TestEpsFactor*eps)
-	return int64(partM) + int64(learnM) + int64(sieveM) + int64(testM)
+	return preludeSamples(k, eps, cfg) + int64(sieveM) + int64(testM)
 }
 
 // run implements Engine.
 func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG, k int, eps float64, cfg Config) (*Result, error) {
-	n := o.N()
-	tr := Trace{N: n}
-	mark := o.Samples()
-	took := func() int64 {
-		d := o.Samples() - mark
-		mark = o.Samples()
-		return d
-	}
-
-	// Stage 1: partition (Proposition 3.4).
-	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StagePartition})
-	b := cfg.PartB(k, eps)
-	tr.B = b
-	part, err := learn.ApproxPartContext(ctx, o, r, b, cfg.PartSampleC)
+	var tr Trace
+	p, dhat, err := a.prelude(ctx, o, r, k, eps, cfg, &tr)
 	if err != nil {
 		return a.fail(tr.TotalSamples(), err)
 	}
-	p := part.Partition
-	K := p.Count()
-	tr.K = K
-	tr.PartitionSamples = took()
-	a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StagePartition, Samples: tr.PartitionSamples})
-
-	// Stage 2: learn (Lemma 3.5).
-	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageLearn})
-	dhat, _, err := learn.LearnContext(ctx, o, r, p, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
-	if err != nil {
-		return a.fail(tr.TotalSamples(), err)
-	}
-	tr.LearnSamples = took()
-	a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageLearn, Samples: tr.LearnSamples})
+	n, K := tr.N, tr.K
 
 	// Stage 3: sieve (§3.2.1).
 	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageSieve})
@@ -215,16 +183,11 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 		tr.RemovedMass += dhat.IntervalMass(p.Interval(j))
 	}
 	reject := func(stage, reason string) (*Result, error) {
-		tr.RejectStage = stage
-		tr.RejectReason = reason
-		if a.ob != nil {
-			a.emit(obs.Event{Kind: obs.KindRunEnd, Samples: tr.TotalSamples(), RejectStage: stage})
-		}
-		return &Result{Accept: false, Trace: tr, Learned: dhat, Domain: domain()}, nil
+		return a.reject(&tr, dhat, domain(), stage, reason)
 	}
 	// sieveExit closes the sieve stage's sample accounting and event.
 	sieveExit := func() {
-		tr.SieveSamples = took()
+		tr.SieveSamples = a.took(o)
 		a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageSieve, Samples: tr.SieveSamples})
 	}
 
@@ -333,39 +296,20 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 	g := domain()
 
 	// Stage 4: check that some k-histogram is close to D̂ on G (Step 10 of
-	// Algorithm 1, via the DP of histdp).
-	if err := ctx.Err(); err != nil {
-		return a.fail(tr.TotalSamples(), err)
-	}
-	if !cfg.SkipCheck {
-		a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageCheck})
-		proj, err := histdp.ProjectTV(dhat, k, g)
-		if err != nil {
-			return a.fail(tr.TotalSamples(), fmt.Errorf("core: check DP failed: %w", err))
-		}
-		tr.CheckRelaxed = proj.Relaxed
-		a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageCheck})
-		tol := eps / cfg.CheckTolDivisor
-		if proj.Relaxed > tol {
-			return reject(StageCheck, fmt.Sprintf("distance of D̂ to H_k on G is %.5f > tolerance %.5f", proj.Relaxed, tol))
-		}
+	// Algorithm 1).
+	if res, err := a.check(ctx, &tr, dhat, k, g, "G", eps/cfg.CheckTolDivisor, cfg.SkipCheck); res != nil || err != nil {
+		return res, err
 	}
 
 	// Stage 5: final χ²-vs-TV test of D against D̂ on G with fresh samples.
-	if err := ctx.Err(); err != nil {
-		return a.fail(tr.TotalSamples(), err)
-	}
 	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageTest})
 	res := chisq.TestWith(o, r, dhat, g, cfg.TestEpsFactor*eps, cfg.Chi, countStrat)
-	tr.TestSamples = took()
+	tr.TestSamples = a.took(o)
 	tr.FinalZ = res.Z
 	tr.FinalThresh = res.Threshold
 	a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageTest, Samples: tr.TestSamples})
 	if !res.Accept {
-		return reject(StageTest, fmt.Sprintf("final statistic %.1f above threshold %.1f", res.Z, res.Threshold))
+		return a.reject(&tr, dhat, g, StageTest, fmt.Sprintf("final statistic %.1f above threshold %.1f", res.Z, res.Threshold))
 	}
-	if a.ob != nil {
-		a.emit(obs.Event{Kind: obs.KindRunEnd, Accept: true, Samples: tr.TotalSamples()})
-	}
-	return &Result{Accept: true, Trace: tr, Learned: dhat, Domain: g}, nil
+	return a.finish(&tr, dhat, g)
 }

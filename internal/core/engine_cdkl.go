@@ -6,9 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/chisq"
-	"repro/internal/histdp"
 	"repro/internal/intervals"
-	"repro/internal/learn"
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rng"
@@ -60,83 +58,29 @@ func (cdklEngine) Name() string { return "cdkl22" }
 // adkEngine.ExpectedSamples, whose sieve term multiplies a same-order
 // batch by reps×(rounds+1).
 func (cdklEngine) ExpectedSamples(n, k int, eps float64, cfg Config) int64 {
-	b := cfg.PartB(k, eps)
-	partM := learn.ApproxPartSamples(b, cfg.PartSampleC)
-	K := int(7*b/3) + 2
-	learnM := learn.LearnSamples(K, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
 	flatM := cfg.Chi.SampleMean(n, cfg.flatEpsFactor()*eps)
-	return int64(partM) + int64(learnM) + int64(flatM)
+	return preludeSamples(k, eps, cfg) + int64(flatM)
 }
 
 // run implements Engine.
 func (cdklEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG, k int, eps float64, cfg Config) (*Result, error) {
-	n := o.N()
-	tr := Trace{N: n}
-	mark := o.Samples()
-	took := func() int64 {
-		d := o.Samples() - mark
-		mark = o.Samples()
-		return d
-	}
-
-	// Stage 1: partition (same machinery as the ADK engine).
-	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StagePartition})
-	b := cfg.PartB(k, eps)
-	tr.B = b
-	part, err := learn.ApproxPartContext(ctx, o, r, b, cfg.PartSampleC)
+	var tr Trace
+	p, dhat, err := a.prelude(ctx, o, r, k, eps, cfg, &tr)
 	if err != nil {
 		return a.fail(tr.TotalSamples(), err)
 	}
-	p := part.Partition
-	K := p.Count()
-	tr.K = K
-	tr.PartitionSamples = took()
-	a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StagePartition, Samples: tr.PartitionSamples})
-
-	// Stage 2: learn.
-	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageLearn})
-	dhat, _, err := learn.LearnContext(ctx, o, r, p, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
-	if err != nil {
-		return a.fail(tr.TotalSamples(), err)
-	}
-	tr.LearnSamples = took()
-	a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageLearn, Samples: tr.LearnSamples})
-
-	g := intervals.FullDomain(n)
-	reject := func(stage, reason string) (*Result, error) {
-		tr.RejectStage = stage
-		tr.RejectReason = reason
-		if a.ob != nil {
-			a.emit(obs.Event{Kind: obs.KindRunEnd, Samples: tr.TotalSamples(), RejectStage: stage})
-		}
-		return &Result{Accept: false, Trace: tr, Learned: dhat, Domain: g}, nil
-	}
+	n, K := tr.N, tr.K
 
 	// Stage 3: check that some k-histogram is close to D̂ on the full
 	// domain. Runs BEFORE the flatness batch: rejecting a structurally
 	// hopeless D̂ costs zero extra samples.
-	if err := ctx.Err(); err != nil {
-		return a.fail(tr.TotalSamples(), err)
-	}
-	if !cfg.SkipCheck {
-		a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageCheck})
-		proj, err := histdp.ProjectTV(dhat, k, g)
-		if err != nil {
-			return a.fail(tr.TotalSamples(), fmt.Errorf("core: check DP failed: %w", err))
-		}
-		tr.CheckRelaxed = proj.Relaxed
-		a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageCheck})
-		tol := eps / cfg.flatCheckTolDivisor()
-		if proj.Relaxed > tol {
-			return reject(StageCheck, fmt.Sprintf("distance of D̂ to H_k on the full domain is %.5f > tolerance %.5f", proj.Relaxed, tol))
-		}
+	g := intervals.FullDomain(n)
+	if res, err := a.check(ctx, &tr, dhat, k, g, "the full domain", eps/cfg.flatCheckTolDivisor(), cfg.SkipCheck); res != nil || err != nil {
+		return res, err
 	}
 
 	// Stage 4: the trimmed per-interval flatness test — one Poissonized
 	// batch, no amplification, no fan-out.
-	if err := ctx.Err(); err != nil {
-		return a.fail(tr.TotalSamples(), err)
-	}
 	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageTest})
 	epsF := cfg.flatEpsFactor() * eps
 	m := cfg.Chi.SampleMean(n, epsF)
@@ -151,7 +95,7 @@ func (cdklEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG
 	a.grow(K, 1)
 	zs := chisq.ZPerIntervalInto(a.med[0][:0], counts, dhat, p, g, m, tau)
 	counts.Release()
-	tr.TestSamples = took()
+	tr.TestSamples = a.took(o)
 
 	total := 0.0
 	for _, z := range zs {
@@ -180,10 +124,7 @@ func (cdklEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG
 	tr.FinalThresh = thr
 	a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageTest, Samples: tr.TestSamples})
 	if total > thr {
-		return reject(StageTest, fmt.Sprintf("trimmed flatness statistic %.1f above threshold %.1f (forgave %d of %d intervals)", total, thr, trim, K))
+		return a.reject(&tr, dhat, g, StageTest, fmt.Sprintf("trimmed flatness statistic %.1f above threshold %.1f (forgave %d of %d intervals)", total, thr, trim, K))
 	}
-	if a.ob != nil {
-		a.emit(obs.Event{Kind: obs.KindRunEnd, Accept: true, Samples: tr.TotalSamples()})
-	}
-	return &Result{Accept: true, Trace: tr, Learned: dhat, Domain: g}, nil
+	return a.finish(&tr, dhat, g)
 }

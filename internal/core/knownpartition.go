@@ -68,7 +68,7 @@ func TestKnownPartition(o oracle.Oracle, r *rng.RNG, part *intervals.Partition, 
 	// no breakpoint intervals to excuse: every interval of Π is flat).
 	dhat, _ := learn.Learn(o, r, part, eps/p.LearnEpsDivisor, p.LearnSampleC)
 	// Identity test D against the learned flattening.
-	res := chisq.Test(o, r, dhat, intervals.FullDomain(n), p.TestEpsFactor*eps, p.Chi)
+	res := chisq.TestWith(o, r, dhat, intervals.FullDomain(n), p.TestEpsFactor*eps, p.Chi, oracle.CountExact)
 	return &KnownPartitionResult{
 		Accept:  res.Accept,
 		Samples: o.Samples() - start,

@@ -92,9 +92,6 @@ func (d *Dense) IntervalMass(iv intervals.Interval) float64 {
 	return d.prefix[iv.Hi] - d.prefix[iv.Lo]
 }
 
-// Probs returns a copy of the underlying probability vector.
-func (d *Dense) Probs() []float64 { return append([]float64(nil), d.p...) }
-
 // Piece is one constant stretch of a PiecewiseConstant distribution: the
 // elements of Iv share the total mass Mass uniformly.
 type Piece struct {

@@ -482,50 +482,3 @@ func TestPCProbPanicsOutOfRange(t *testing.T) {
 	}()
 	Uniform(3).Prob(3)
 }
-
-func TestConditional(t *testing.T) {
-	d := MustDense([]float64{0.1, 0.2, 0.3, 0.4})
-	g := intervals.NewDomain(4, []intervals.Interval{{Lo: 1, Hi: 3}})
-	c := Conditional(d, g)
-	if !approx(c.Prob(0), 0, eps) || !approx(c.Prob(3), 0, eps) {
-		t.Fatal("mass outside the domain")
-	}
-	if !approx(c.Prob(1), 0.4, eps) || !approx(c.Prob(2), 0.6, eps) {
-		t.Fatalf("conditional masses: %v %v", c.Prob(1), c.Prob(2))
-	}
-	if !approx(TotalMass(c), 1, eps) {
-		t.Fatal("conditional not normalized")
-	}
-	// Conditioning on the full domain is the identity (for a distribution).
-	full := Conditional(d, intervals.FullDomain(4))
-	if TV(d, full) > eps {
-		t.Fatal("full-domain conditioning changed the distribution")
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("zero-mass conditioning did not panic")
-			}
-		}()
-		Conditional(MustDense([]float64{1, 0}), intervals.NewDomain(2, []intervals.Interval{{Lo: 1, Hi: 2}}))
-	}()
-}
-
-func TestConditionalMatchesOracleView(t *testing.T) {
-	// The conditional distribution is what oracle.Conditional samples:
-	// spot-check per-element proportions on a random instance.
-	r := rng.New(27)
-	d := randomPC(r, 60, 6)
-	g := intervals.NewDomain(60, []intervals.Interval{{Lo: 10, Hi: 25}, {Lo: 40, Hi: 55}})
-	c := Conditional(d, g)
-	mass := DomainMass(d, g)
-	for i := 0; i < 60; i++ {
-		want := 0.0
-		if g.Contains(i) {
-			want = d.Prob(i) / mass
-		}
-		if !approx(c.Prob(i), want, 1e-12) {
-			t.Fatalf("element %d: %v vs %v", i, c.Prob(i), want)
-		}
-	}
-}

@@ -147,31 +147,6 @@ func MixPC(alpha float64, a, b *PiecewiseConstant) *PiecewiseConstant {
 	return MustPiecewiseConstant(n, pieces)
 }
 
-// Conditional returns the distribution of d conditioned on the sub-domain
-// g: d's mass inside g renormalized, zero outside — the distributional
-// counterpart of oracle.Conditional. It panics if g carries no mass
-// under d.
-func Conditional(d Distribution, g *intervals.Domain) *Dense {
-	mass := DomainMass(d, g)
-	if mass <= 0 {
-		panic("dist: conditioning on a zero-mass domain")
-	}
-	p := make([]float64, d.N())
-	for _, iv := range g.Intervals() {
-		for i := iv.Lo; i < iv.Hi; {
-			end := d.RunEnd(i)
-			if end > iv.Hi {
-				end = iv.Hi
-			}
-			v := d.Prob(i) / mass
-			for ; i < end; i++ {
-				p[i] = v
-			}
-		}
-	}
-	return MustDense(p)
-}
-
 // Normalize returns d scaled to total mass 1. It panics if d has zero
 // total mass.
 func Normalize(d Distribution) Distribution {

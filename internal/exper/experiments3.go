@@ -10,6 +10,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/intervals"
+	"repro/internal/oracle"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -40,7 +41,7 @@ func e11() Experiment {
 					if fixed {
 						res = chisq.TestFixed(s, r, uniform, full, eps, params)
 					} else {
-						res = chisq.Test(s, r, uniform, full, eps, params)
+						res = chisq.TestWith(s, r, uniform, full, eps, params, oracle.CountExact)
 					}
 					zs[i] = res.Z
 					if res.Accept {

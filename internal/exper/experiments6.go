@@ -85,29 +85,20 @@ func (rc RunConfig) dknMethod() twoSampleMethod {
 	}
 }
 
-// naiveMethod is the full-domain CDVV14 tester: no reduction, the χ²
-// statistic straight on [n], majority-amplified with the same replicate
-// count as the DKN default so the comparison isolates the reduction.
+// naiveMethod is the full-domain CDVV14 tester: the same Tester.Run with
+// k = n (no histogram promise, so no reduction) at the full-domain
+// constants, majority-amplified with the same replicate count as the DKN
+// default so the comparison isolates the reduction.
 func naiveMethod() twoSampleMethod {
 	return twoSampleMethod{
 		name: "naive-cdvv14",
 		run: func(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, _ int, eps, scale float64) (bool, int64, error) {
-			params := closeness.DefaultParams()
-			params.MFactor *= scale
-			reps := closeness.DefaultConfig().Reps
-			accepts := 0
-			var samples int64
-			for i := 0; i < reps; i++ {
-				if err := ctx.Err(); err != nil {
-					return false, samples, err
-				}
-				res := closeness.Test(px, py, r, eps, params)
-				if res.Accept {
-					accepts++
-				}
-				samples += int64(res.DrawnX + res.DrawnY)
+			cfg := closeness.Config{Chi: closeness.DefaultParams(), Reps: closeness.DefaultConfig().Reps}
+			res, err := closeness.TestTwoSample(ctx, px, py, r, px.N(), eps, cfg.Scale(scale))
+			if err != nil {
+				return false, 0, err
 			}
-			return 2*accepts > reps, samples, nil
+			return res.Accept, res.SamplesX + res.SamplesY, nil
 		},
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dist"
 	"repro/internal/gen"
+	"repro/internal/histdp"
 	"repro/internal/intervals"
 	"repro/internal/oracle"
 	"repro/internal/rng"
@@ -40,6 +41,37 @@ func TestAllMethodsAreDistributions(t *testing.T) {
 		}
 	}
 	_ = r
+}
+
+// opaque hides a distribution's concrete type, so Build sees neither a
+// Dense nor a PiecewiseConstant.
+type opaque struct{ dist.Distribution }
+
+// TestVOptimalInputShapes: the V-optimal DP takes any Distribution, and
+// an input with more constant runs than the DP admits is coarsened to
+// the limit first.
+func TestVOptimalInputShapes(t *testing.T) {
+	d := gen.Zipf(512, 1.1)
+	want, err := Build(d, 8, VOptimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Build(opaque{d}, 8, VOptimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dist.TV(got, want) > 1e-12 {
+		t.Fatalf("opaque input changed the V-optimal histogram (TV %v)", dist.TV(got, want))
+	}
+
+	wide := gen.Zipf(histdp.MaxPieces+64, 1.1)
+	h, err := Build(wide, 4, VOptimal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(dist.TotalMass(h)-1) > 1e-9 || h.PieceCount() > 4 {
+		t.Fatalf("coarsened V-optimal: mass %v, %d pieces", dist.TotalMass(h), h.PieceCount())
+	}
 }
 
 func TestEquiWidthShape(t *testing.T) {

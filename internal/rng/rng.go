@@ -121,9 +121,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return
 }
 
-// Int63 returns a uniform non-negative int64.
-func (r *RNG) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Bernoulli returns true with probability p.
 func (r *RNG) Bernoulli(p float64) bool {
 	switch {

@@ -89,7 +89,6 @@ func (s *Server) resolveCloseness(req *client.ClosenessRequest) (*runSpec, error
 	cr.datasetLenA, cr.datasetLenB = infoA.datasetLen, infoB.datasetLen
 
 	cfg := closeness.DefaultConfig()
-	cfg.Reps = s.cfg.ClosenessReps
 	if req.Reps != 0 {
 		cfg.Reps = req.Reps
 	}

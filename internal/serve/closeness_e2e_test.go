@@ -3,10 +3,12 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 
+	"repro/histtest"
 	"repro/histtest/client"
 	"repro/internal/closeness"
 	"repro/internal/dist"
@@ -48,9 +50,8 @@ func specDist(t *testing.T, spec client.HistogramSpec) *dist.PiecewiseConstant {
 }
 
 // directClosenessConfig resolves a wire closeness request's tester config
-// the way resolveCloseness does (server defaults, scale, strategy; the
-// serving limits come from limits),
-// pinned to serial workers — the whole point is that the served run's
+// the way resolveCloseness does (library defaults, reps, scale, strategy;
+// the serving limits come from limits), pinned to serial workers — the whole point is that the served run's
 // fan-out must not matter.
 func directClosenessConfig(t *testing.T, req client.ClosenessRequest) closeness.Config {
 	t.Helper()
@@ -191,6 +192,70 @@ func TestClosenessReplayPairBitIdentical(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		assertClosenessBitIdentical(t, "replay", res, direct)
+	}
+}
+
+// TestClosenessServedMatchesLibrary: the public library tester and the
+// served endpoint are one tester. histtest.TestCloseness over two recorded
+// datasets must reach the verdict /v1/closeness reaches on the same
+// samples, seed, k and ε, with the same draw count — and, on the far pair,
+// the same replicate tally, median statistic Z and threshold.
+func TestClosenessServedMatchesLibrary(t *testing.T) {
+	_, _, c := newTestServer(t, noJanitor(serve.Config{Workers: 1}))
+	ctx := context.Background()
+
+	const n, k, eps, seed = 4096, 4, 0.5, 21
+	need := closeness.DefaultConfig().ExpectedSamples(n, k, eps) * 2
+	record := func(spec client.HistogramSpec, samplerSeed uint64) []int {
+		src := oracle.NewSampler(specDist(t, spec), rng.New(0)).Fork(rng.New(samplerSeed))
+		data := make([]int, need)
+		for i := range data {
+			data[i] = src.Draw()
+		}
+		return data
+	}
+	source := func(data []int) histtest.Source {
+		i := 0
+		return func() int {
+			v := data[i]
+			i++
+			return v
+		}
+	}
+	dataA := record(closeSpecA(), 31)
+	for _, tc := range []struct {
+		name   string
+		dataB  []int
+		accept bool
+	}{
+		{"equal", record(closeSpecA(), 32), true},
+		{"far", record(closeSpecB(), 33), false},
+	} {
+		served, err := c.Closeness(ctx, client.ClosenessRequest{
+			A: client.ClosenessSide{Samples: dataA},
+			B: client.ClosenessSide{Samples: tc.dataB},
+			N: n, K: k, Eps: eps, Seed: seed,
+		})
+		if err != nil {
+			t.Fatalf("%s: served run: %v", tc.name, err)
+		}
+		lib, err := histtest.TestCloseness(source(dataA), source(tc.dataB), n, k, eps, histtest.Options{Seed: seed})
+		if err != nil {
+			t.Fatalf("%s: library run: %v", tc.name, err)
+		}
+		if served.Accept != tc.accept || lib.IsKHistogram != served.Accept {
+			t.Fatalf("%s: served accept = %v, library accept = %v, want %v", tc.name, served.Accept, lib.IsKHistogram, tc.accept)
+		}
+		if used := served.SamplesA + served.SamplesB; lib.SamplesUsed != used {
+			t.Fatalf("%s: library drew %d samples, served %d", tc.name, lib.SamplesUsed, used)
+		}
+		if !tc.accept {
+			want := fmt.Sprintf("%d of %d replicates accepted; median two-sample χ² statistic %.1f above threshold %.1f",
+				served.Accepts, served.Reps, served.Z, served.Threshold)
+			if lib.Detail != want {
+				t.Fatalf("%s: library detail %q, served verdict says %q", tc.name, lib.Detail, want)
+			}
+		}
 	}
 }
 
@@ -338,10 +403,11 @@ func TestClosenessValidation(t *testing.T) {
 	}
 }
 
-// TestClosenessRepsOverride: the server default and the per-request
-// override both reach the tester.
+// TestClosenessRepsOverride: a request without reps runs the library
+// default (closeness.DefaultConfig), and the per-request override reaches
+// the tester.
 func TestClosenessRepsOverride(t *testing.T) {
-	_, _, c := newTestServer(t, noJanitor(serve.Config{Workers: 1, ClosenessReps: 3}))
+	_, _, c := newTestServer(t, noJanitor(serve.Config{Workers: 1}))
 	ctx := context.Background()
 	req := client.ClosenessRequest{
 		A: client.ClosenessSide{Spec: ptr(closeSpecA())},
@@ -352,8 +418,8 @@ func TestClosenessRepsOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Reps != 3 {
-		t.Fatalf("server default reps = %d, want 3", res.Reps)
+	if want := closeness.DefaultConfig().Reps; res.Reps != want {
+		t.Fatalf("default reps = %d, want %d", res.Reps, want)
 	}
 	req.Reps = 7
 	res, err = c.Closeness(ctx, req)

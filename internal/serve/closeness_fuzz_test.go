@@ -19,7 +19,7 @@ import (
 // use k >= n so the tester's degenerate full-domain path decides on a
 // handful of draws, keeping iterations cheap.
 func FuzzClosenessDecoder(f *testing.F) {
-	s := serve.New(serve.Config{Workers: 1, ClosenessReps: 1})
+	s := serve.New(serve.Config{Workers: 1})
 	hs := httptest.NewServer(s.Handler())
 	f.Cleanup(func() {
 		hs.Close()

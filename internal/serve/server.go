@@ -81,10 +81,6 @@ type Config struct {
 	// service against requests whose nominal budget is astronomical.
 	// 0 keeps the core default (2³¹).
 	MaxSamplesPerRun int64
-	// ClosenessReps is the default majority-amplification replicate
-	// count of /v1/closeness runs (requests may override per call).
-	// 0 means 5; negative forces single-shot (reps = 1).
-	ClosenessReps int
 
 	// MaxStreams bounds the live ingestion-stream count across all
 	// tenants. 0 means stream.DefaultMaxStreams (256).
@@ -143,12 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IngestQueue <= 0 {
 		c.IngestQueue = 2 * c.Workers
-	}
-	if c.ClosenessReps == 0 {
-		c.ClosenessReps = 5
-	}
-	if c.ClosenessReps < 1 {
-		c.ClosenessReps = 1
 	}
 	if c.JanitorInterval == 0 {
 		c.JanitorInterval = 100 * time.Millisecond

@@ -134,7 +134,7 @@ func TestMonotone(o oracle.Oracle, r *rng.RNG, decreasing bool, eps float64, par
 		return res, nil
 	}
 
-	id := chisq.Test(o, r, dhat, intervals.FullDomain(n), params.TestEpsFactor*eps, params.Chi)
+	id := chisq.TestWith(o, r, dhat, intervals.FullDomain(n), params.TestEpsFactor*eps, params.Chi, oracle.CountExact)
 	res.Samples = o.Samples() - start
 	if !id.Accept {
 		res.Stage = "identity"
