@@ -202,6 +202,13 @@ func BenchmarkDrawCountsPooled(b *testing.B) { benchhot.DrawCountsPooled(b) }
 // the per-batch closed-form speedup.
 func BenchmarkDrawCountsClosedForm(b *testing.B) { benchhot.DrawCountsClosedForm(b) }
 
+// BenchmarkLearnExact / BenchmarkLearnClosedForm time the learn stage
+// alone at the paninski shape (n = 4096, k = 4, ε = 1/6, PracticalConfig):
+// the learner's fixed-m batch drawn sample by sample versus as one
+// multinomial over the partition's intervals.
+func BenchmarkLearnExact(b *testing.B)      { benchhot.LearnExact(b) }
+func BenchmarkLearnClosedForm(b *testing.B) { benchhot.LearnClosedForm(b) }
+
 // BenchmarkIngestSoak and its ParallelN variants measure aggregate
 // sharded-accumulator ingest throughput — the events/s numbers
 // BENCH_ingest.json tracks (see `make bench-ingest-json`); N goroutines

@@ -99,6 +99,8 @@ func measureHotpath(stderr io.Writer) cli.HotpathReport {
 				benchhot.DrawCountsPooled),
 			"BenchmarkDrawCountsClosedForm": run("BenchmarkDrawCountsClosedForm", 1,
 				benchhot.DrawCountsClosedForm),
+			"BenchmarkLearnExact":      run("BenchmarkLearnExact", 1, benchhot.LearnExact),
+			"BenchmarkLearnClosedForm": run("BenchmarkLearnClosedForm", 1, benchhot.LearnClosedForm),
 		},
 	}
 }

@@ -215,7 +215,7 @@ func (t *CDGR16) Run(ctx context.Context, o oracle.Oracle, r *rng.RNG, k int, ep
 		if err != nil {
 			return false, err
 		}
-		dhat, _, err := learn.LearnContext(ctx, o, r, part.Partition, eps/t.LearnEpsDivisor, t.LearnSampleC)
+		dhat, _, err := learn.LearnContext(ctx, o, r, part.Partition, eps/t.LearnEpsDivisor, t.LearnSampleC, oracle.CountExact)
 		if err != nil {
 			return false, err
 		}

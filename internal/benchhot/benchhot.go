@@ -7,11 +7,14 @@
 package benchhot
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/intervals"
+	"repro/internal/learn"
+	"repro/internal/lowerbound"
 	"repro/internal/oracle"
 	"repro/internal/rng"
 )
@@ -128,5 +131,39 @@ func DrawCountsClosedForm(b *testing.B) {
 			b.Fatal("impossible")
 		}
 		c.Release()
+	}
+}
+
+// LearnExact measures the learn stage alone (Lemma 3.5's fixed-m batch
+// and the Laplace estimate) at the paninski shape the served benchmark
+// uses: a Paninski Q_ε instance over n = 4096 with k = 4, ε = 1/6 and
+// PracticalConfig, learning over the partition ApproxPart produced for
+// it. The batch is drawn sample by sample (oracle.CountExact).
+func LearnExact(b *testing.B) { learnStage(b, oracle.CountExact) }
+
+// LearnClosedForm is the same stage with the batch's interval totals
+// drawn as one multinomial over the partition (oracle.CountClosedForm).
+func LearnClosedForm(b *testing.B) { learnStage(b, oracle.CountClosedForm) }
+
+func learnStage(b *testing.B, cs oracle.CountStrategy) {
+	const n, k = 4096, 4
+	const eps = 1.0 / 6
+	cfg := core.PracticalConfig()
+	pan, err := lowerbound.Paninski(rng.New(1), n, eps, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := oracle.NewSampler(pan.ToPiecewiseConstant(), rng.New(2))
+	part, err := learn.ApproxPart(s, rng.New(3), cfg.PartB(k, eps), cfg.PartSampleC)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := learn.LearnContext(ctx, s, nil, part.Partition, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC, cs); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -141,20 +141,20 @@ func (c Config) reduced(n, k int, eps float64) bool {
 // two partition batches plus Reps Poissonized pairs on the reduced
 // domain. The reduced-domain size is estimated as the ApproxPart
 // worst-case interval count for each side, refined (the estimate the
-// budget guard and the serving layer's admission sizing use).
+// budget guard and the serving layer's admission sizing use). The sum is
+// computed in float64 and saturates at math.MaxInt64.
 func (c Config) ExpectedSamples(n, k int, eps float64) int64 {
+	reps := float64(c.reps())
 	if !c.reduced(n, k, eps) {
 		m := c.Chi.SampleMean(n, eps)
-		return int64(c.reps()) * 2 * int64(math.Ceil(m))
+		return stats.SaturatingInt64(reps * 2 * math.Ceil(m))
 	}
 	b := c.PartB(k, eps)
 	partM := learn.ApproxPartSamples(b, c.PartSampleC)
-	K := 2 * (int(7*b/3) + 4) // two refined worst-case ApproxPart outputs
-	if K > n {
-		K = n
-	}
+	// Two refined worst-case ApproxPart outputs, capped at the domain.
+	K := int(min(2*(math.Floor(7*b/3)+4), float64(n)))
 	m := c.Chi.SampleMean(K, eps)
-	return 2*int64(partM) + int64(c.reps())*2*int64(math.Ceil(m))
+	return stats.SaturatingInt64(2*float64(partM) + reps*2*math.Ceil(m))
 }
 
 // TwoSampleResult reports one two-sample closeness run.
@@ -254,7 +254,7 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 		return nil, fmt.Errorf("closeness: eps = %v must be in (0, 1]", eps)
 	}
 	if want := cfg.ExpectedSamples(n, k, eps); want > cfg.maxSamples() {
-		return nil, fmt.Errorf("closeness: nominal budget %d exceeds MaxSamples %d", want, cfg.maxSamples())
+		return nil, fmt.Errorf("closeness: %w: %d > MaxSamples %d", oracle.ErrOverBudget, want, cfg.maxSamples())
 	}
 
 	res := &TwoSampleResult{N: n, Reps: cfg.reps()}

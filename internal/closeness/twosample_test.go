@@ -2,6 +2,7 @@ package closeness
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -57,6 +58,28 @@ func TestTwoSampleValidation(t *testing.T) {
 	small.MaxSamples = 10
 	if _, err := TestTwoSample(nil, px, py, r, 2, 0.5, small); err == nil {
 		t.Fatal("budget guard did not fire")
+	}
+}
+
+// TestTwoSampleBudgetGuardSaturates: at tiny ε the nominal budget
+// exceeds 2⁶³ and must saturate rather than wrap (a wrapped sum can land
+// on 0 and pass the guard); the run is refused with oracle.ErrOverBudget
+// before either side draws.
+func TestTwoSampleBudgetGuardSaturates(t *testing.T) {
+	cfg := DefaultConfig()
+	for _, eps := range []float64{1e-5, 1e-7, 1e-9} {
+		got := cfg.ExpectedSamples(4096, 4, eps)
+		if got <= cfg.maxSamples() || (eps == 1e-9 && got != math.MaxInt64) {
+			t.Fatalf("eps=%g: ExpectedSamples = %d, want above the guard %d (saturated at 1e-9)", eps, got, cfg.maxSamples())
+		}
+		r := rng.New(3)
+		px, py := yesPair(r, 4096, 4)
+		if _, err := TestTwoSample(context.Background(), px, py, r, 4, eps, cfg); !errors.Is(err, oracle.ErrOverBudget) {
+			t.Fatalf("eps=%g: err = %v, want oracle.ErrOverBudget", eps, err)
+		}
+		if px.Samples() != 0 || py.Samples() != 0 {
+			t.Fatalf("eps=%g: guarded run drew %d+%d samples", eps, px.Samples(), py.Samples())
+		}
 	}
 }
 

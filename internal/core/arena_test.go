@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rng"
 )
@@ -70,6 +71,18 @@ func TestForkProbeDoesNotAllocate(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Fatalf("CanFork allocates %v objects per call, want 0", n)
+	}
+}
+
+// TestNilObserverStageExitDoesNotAllocate: with no observer attached,
+// emitting a stage event — including the learn exit that names its
+// count-synthesis path — costs no allocation.
+func TestNilObserverStageExitDoesNotAllocate(t *testing.T) {
+	a := NewArena()
+	if n := testing.AllocsPerRun(100, func() {
+		a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageLearn, Samples: 4096, ClosedForm: 1})
+	}); n != 0 {
+		t.Fatalf("nil-observer emit allocates %v objects per call, want 0", n)
 	}
 }
 

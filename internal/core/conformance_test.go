@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -178,7 +179,9 @@ func TestConformanceWorkerDeterminism(t *testing.T) {
 // the shared grammar — RunStart first (carrying the run parameters),
 // RunEnd last (carrying the verdict), every StageEnter matched by a
 // StageExit of the same stage, stages in strictly increasing pipeline
-// order, timestamps monotone.
+// order, timestamps monotone — under both count strategies. StageExit
+// events carry no batch tallies except the learn stage's, which names
+// its one batch's path: Exact or ClosedForm = 1, per the strategy.
 func TestConformanceEventGrammar(t *testing.T) {
 	for _, engine := range conformanceTargets(t) {
 		t.Run(engine, func(t *testing.T) {
@@ -186,11 +189,14 @@ func TestConformanceEventGrammar(t *testing.T) {
 				name string
 				d    dist.Distribution
 				k    int
+				cs   oracle.CountStrategy
 			}{
-				{"accept", threeHistogram(512), 3},
-				{"reject", comb(512), 4},
+				{"accept", threeHistogram(512), 3, oracle.CountExact},
+				{"reject", comb(512), 4, oracle.CountExact},
+				{"accept closed-form", threeHistogram(512), 3, oracle.CountClosedForm},
+				{"reject closed-form", comb(512), 4, oracle.CountClosedForm},
 			} {
-				rec, _, res := engineRun(t, engine, d.d, d.k, 0.5, 0, oracle.CountExact, 61)
+				rec, _, res := engineRun(t, engine, d.d, d.k, 0.5, 0, d.cs, 61)
 				evs := rec.Events()
 				if evs[0].Kind != obs.KindRunStart || evs[0].N != 512 || evs[0].K != d.k || evs[0].Eps != 0.5 {
 					t.Fatalf("%s: RunStart = %+v", d.name, evs[0])
@@ -210,6 +216,7 @@ func TestConformanceEventGrammar(t *testing.T) {
 							t.Fatalf("%s: StageExit(%v) without matching enter", d.name, e.Stage)
 						}
 						open = open[:len(open)-1]
+						assertStageExitTallies(t, d.name, e, d.cs)
 					}
 				}
 				if len(open) != 0 {
@@ -227,6 +234,27 @@ func TestConformanceEventGrammar(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// assertStageExitTallies checks the batch tallies a StageExit event may
+// carry: none, except the learn stage's Exact/ClosedForm pair, exactly
+// one of which is 1 — the one matching the resolved strategy cs.
+func assertStageExitTallies(t *testing.T, label string, e obs.Event, cs oracle.CountStrategy) {
+	t.Helper()
+	if e.Dense != 0 || e.Sparse != 0 || e.Replicates != 0 || e.Workers != 0 {
+		t.Fatalf("%s: StageExit(%v) carries round tallies: %+v", label, e.Stage, e)
+	}
+	wantExact, wantClosed := 0, 0
+	if e.Stage == obs.StageLearn {
+		if cs == oracle.CountClosedForm {
+			wantClosed = 1
+		} else {
+			wantExact = 1
+		}
+	}
+	if e.Exact != wantExact || e.ClosedForm != wantClosed {
+		t.Fatalf("%s: StageExit(%v) Exact=%d ClosedForm=%d, want %d/%d", label, e.Stage, e.Exact, e.ClosedForm, wantExact, wantClosed)
 	}
 }
 
@@ -341,6 +369,33 @@ func TestConformanceBudgetGuard(t *testing.T) {
 			}
 			if ExpectedSamples(512, 3, 0.5, cfg) <= 0 {
 				t.Fatal("ExpectedSamples must be positive")
+			}
+		})
+	}
+}
+
+// TestConformanceBudgetGuardSaturates: tiny ε drives every engine's
+// nominal budget past 2⁶³. ExpectedSamples must saturate at
+// math.MaxInt64 instead of wrapping negative (which would wave the run
+// past the guard and pin the caller on an endless draw), and the run
+// must be refused with oracle.ErrOverBudget before its first draw.
+func TestConformanceBudgetGuardSaturates(t *testing.T) {
+	for _, engine := range conformanceTargets(t) {
+		t.Run(engine, func(t *testing.T) {
+			cfg := PracticalConfig()
+			cfg.Engine = engine
+			for _, eps := range []float64{1e-5, 1e-7, 1e-9} {
+				if est := ExpectedSamples(4096, 4, eps, cfg); est != math.MaxInt64 {
+					t.Fatalf("eps=%g: ExpectedSamples = %d, want saturation at %d", eps, est, int64(math.MaxInt64))
+				}
+				r := rng.New(7)
+				s := oracle.NewSampler(threeHistogram(4096), r)
+				if _, err := Test(s, r, 4, eps, cfg); !errors.Is(err, oracle.ErrOverBudget) {
+					t.Fatalf("eps=%g: err = %v, want oracle.ErrOverBudget", eps, err)
+				}
+				if s.Samples() != 0 {
+					t.Fatalf("eps=%g: guarded run drew %d samples", eps, s.Samples())
+				}
 			}
 		})
 	}

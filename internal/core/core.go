@@ -309,7 +309,7 @@ func (a *Arena) TestContext(ctx context.Context, o oracle.Oracle, r *rng.RNG, k 
 		return &Result{Accept: true, Domain: intervals.FullDomain(n)}, nil
 	}
 	if est := eng.ExpectedSamples(n, k, eps, cfg); est > cfg.maxSamples() {
-		return a.fail(0, fmt.Errorf("core: nominal budget %d samples exceeds the guard %d; lower the constants (Config.Scale) or raise Config.MaxSamples", est, cfg.maxSamples()))
+		return a.fail(0, fmt.Errorf("core: %w: %d > %d samples; lower the constants (Config.Scale) or raise Config.MaxSamples", oracle.ErrOverBudget, est, cfg.maxSamples()))
 	}
 	if err := ctx.Err(); err != nil {
 		return a.fail(0, err)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/dist"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // Engine is one tester algorithm behind the shared driver
@@ -31,7 +33,11 @@ import (
 //     always equals the oracle's draw count — budget conservation;
 //   - resolve Config.CountStrategy once per run through
 //     oracle.EffectiveStrategy and honor the resolved strategy on every
-//     Poissonized batch;
+//     Poissonized batch and on the learner's fixed-m batch (the shared
+//     prelude does the latter: under closed form the learner draws its
+//     interval totals as one multinomial). The ApproxPart batch stays
+//     per-sample under both strategies, because the partition needs
+//     per-element counts;
 //   - check ctx before every Poissonized batch draw and at every
 //     round boundary, release all pooled oracle.Counts on every path
 //     (cancellation included), and surface ctx.Err() through
@@ -112,18 +118,21 @@ func EngineFor(name string) (Engine, error) {
 
 // preludeSamples is the nominal budget of the shared prelude: one
 // ApproxPart batch plus the learner's batch over the K <= ~7b/3 + 2
-// intervals ApproxPart yields.
-func preludeSamples(k int, eps float64, cfg Config) int64 {
+// intervals ApproxPart yields. It is a float64 so the engines can add
+// their own terms without wrapping; ExpectedSamples saturates the sum.
+func preludeSamples(k int, eps float64, cfg Config) float64 {
 	b := cfg.PartB(k, eps)
 	partM := learn.ApproxPartSamples(b, cfg.PartSampleC)
-	K := int(7*b/3) + 2
+	K := int(stats.SaturatingInt64(math.Floor(7*b/3) + 2))
 	learnM := learn.LearnSamples(K, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
-	return int64(partM) + int64(learnM)
+	return float64(partM) + float64(learnM)
 }
 
 // prelude runs stage 1, ApproxPart(b) (Proposition 3.4), and stage 2,
 // the learner (Lemma 3.5), filling tr's N, B, K and stage sample counts
-// and emitting the stage events. It starts the sample mark that took
+// and emitting the stage events. The learner honors the resolved count
+// strategy, and its StageExit event reports which path the batch took
+// (Exact or ClosedForm = 1). It starts the sample mark that took
 // advances.
 func (a *Arena) prelude(ctx context.Context, o oracle.Oracle, r *rng.RNG, k int, eps float64, cfg Config, tr *Trace) (*intervals.Partition, *dist.PiecewiseConstant, error) {
 	tr.N = o.N()
@@ -141,12 +150,17 @@ func (a *Arena) prelude(ctx context.Context, o oracle.Oracle, r *rng.RNG, k int,
 	a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StagePartition, Samples: tr.PartitionSamples})
 
 	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageLearn})
-	dhat, _, err := learn.LearnContext(ctx, o, r, p, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC)
+	cs := oracle.EffectiveStrategy(o, cfg.CountStrategy)
+	dhat, _, err := learn.LearnContext(ctx, o, r, p, eps/cfg.LearnEpsDivisor, cfg.LearnSampleC, cs)
 	if err != nil {
 		return nil, nil, err
 	}
 	tr.LearnSamples = a.took(o)
-	a.emit(obs.Event{Kind: obs.KindStageExit, Stage: obs.StageLearn, Samples: tr.LearnSamples})
+	exit := obs.Event{Kind: obs.KindStageExit, Stage: obs.StageLearn, Samples: tr.LearnSamples, Exact: 1}
+	if cs == oracle.CountClosedForm {
+		exit.Exact, exit.ClosedForm = 0, 1
+	}
+	a.emit(exit)
 	return p, dhat, nil
 }
 

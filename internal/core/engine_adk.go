@@ -37,13 +37,14 @@ type adkEngine struct{}
 func (adkEngine) Name() string { return "adk" }
 
 // ExpectedSamples implements Engine: the Theorem 3.1 accounting —
-// partition + learn + sieve reps×(rounds+1) batches + final test.
+// partition + learn + sieve reps×(rounds+1) batches + final test,
+// summed in float64 and saturating at math.MaxInt64.
 func (adkEngine) ExpectedSamples(n, k int, eps float64, cfg Config) int64 {
 	alpha := cfg.Alpha(eps)
 	mSieve := cfg.SieveMFactor * math.Sqrt(float64(n)) / (alpha * alpha)
 	sieveM := mSieve * float64(cfg.sieveReps(k)) * float64(cfg.SieveRounds(k)+1)
 	testM := cfg.Chi.SampleMean(n, cfg.TestEpsFactor*eps)
-	return preludeSamples(k, eps, cfg) + int64(sieveM) + int64(testM)
+	return stats.SaturatingInt64(preludeSamples(k, eps, cfg) + math.Trunc(sieveM) + math.Trunc(testM))
 }
 
 // run implements Engine.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/chisq"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oracle"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // cdklEngine is a practical embodiment of the CDKL'22 near-optimal
@@ -56,10 +58,11 @@ func (cdklEngine) Name() string { return "cdkl22" }
 // ExpectedSamples implements Engine: partition + learn + one flatness
 // batch. No sieve term is the engine's entire advantage — compare
 // adkEngine.ExpectedSamples, whose sieve term multiplies a same-order
-// batch by reps×(rounds+1).
+// batch by reps×(rounds+1). The sum is a float64 saturating at
+// math.MaxInt64.
 func (cdklEngine) ExpectedSamples(n, k int, eps float64, cfg Config) int64 {
 	flatM := cfg.Chi.SampleMean(n, cfg.flatEpsFactor()*eps)
-	return preludeSamples(k, eps, cfg) + int64(flatM)
+	return stats.SaturatingInt64(preludeSamples(k, eps, cfg) + math.Trunc(flatM))
 }
 
 // run implements Engine.

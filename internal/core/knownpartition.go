@@ -9,6 +9,7 @@ import (
 	"repro/internal/learn"
 	"repro/internal/oracle"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // KnownPartitionParams tune TestKnownPartition.
@@ -77,9 +78,9 @@ func TestKnownPartition(o oracle.Oracle, r *rng.RNG, part *intervals.Partition, 
 }
 
 // KnownPartitionExpectedSamples returns the nominal budget of one
-// TestKnownPartition call.
+// TestKnownPartition call, saturating at math.MaxInt64.
 func KnownPartitionExpectedSamples(n, numIntervals int, eps float64, p KnownPartitionParams) int64 {
 	learnM := learn.LearnSamples(numIntervals, eps/p.LearnEpsDivisor, p.LearnSampleC)
 	testM := p.Chi.SampleMean(n, p.TestEpsFactor*eps)
-	return int64(learnM) + int64(math.Ceil(testM))
+	return stats.SaturatingInt64(float64(learnM) + math.Ceil(testM))
 }

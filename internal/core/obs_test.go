@@ -295,6 +295,7 @@ func TestEventStreamWellFormed(t *testing.T) {
 				t.Fatalf("StageExit(%v) without matching enter", e.Stage)
 			}
 			open = open[:len(open)-1]
+			assertStageExitTallies(t, "exact run", e, oracle.CountExact)
 		}
 	}
 	if len(open) != 0 {

@@ -19,6 +19,7 @@ import (
 	"repro/internal/intervals"
 	"repro/internal/oracle"
 	"repro/internal/rng"
+	"repro/internal/stats"
 )
 
 // PartResult is the output of ApproxPart.
@@ -32,10 +33,10 @@ type PartResult struct {
 	SamplesUsed int
 }
 
-// ApproxPartSamples returns the sample budget C·b·log2(b+2) used by
-// ApproxPart.
+// ApproxPartSamples returns the sample budget ⌈C·b·log2(b+2)⌉ used by
+// ApproxPart, computed in float64 and saturating at math.MaxInt64.
 func ApproxPartSamples(b, c float64) int {
-	return int(math.Ceil(c * b * math.Log2(b+2)))
+	return int(stats.SaturatingInt64(math.Ceil(c * b * math.Log2(b+2))))
 }
 
 // ApproxPart draws O(b log b) samples and returns a partition of the
@@ -144,9 +145,10 @@ func LaplaceEstimate(counts *oracle.Counts, p *intervals.Partition) *dist.Piecew
 	return d
 }
 
-// LearnSamples returns the sample budget ⌈c·ℓ/ε²⌉ used by Learn.
+// LearnSamples returns the sample budget ⌈c·ℓ/ε²⌉ used by Learn,
+// computed in float64 and saturating at math.MaxInt64.
 func LearnSamples(ell int, eps, c float64) int {
-	return int(math.Ceil(c * float64(ell) / (eps * eps)))
+	return int(stats.SaturatingInt64(math.Ceil(c * float64(ell) / (eps * eps))))
 }
 
 // Learn draws O(ℓ/ε²) samples and returns the Laplace estimate over p.
@@ -154,22 +156,51 @@ func LearnSamples(ell int, eps, c float64) int {
 // output D̂ satisfies dχ²(D̃^J ‖ D̂) <= ε², where D̃^J is D flattened on
 // every non-breakpoint interval of p. c scales the sample budget.
 func Learn(o oracle.Oracle, r *rng.RNG, p *intervals.Partition, eps, c float64) (*dist.PiecewiseConstant, int) {
-	est, m, _ := LearnContext(context.Background(), o, r, p, eps, c)
+	est, m, _ := LearnContext(context.Background(), o, r, p, eps, c, oracle.CountExact)
 	return est, m
 }
 
-// LearnContext is Learn honoring ctx at batch-draw granularity: the
-// context is checked before the sample batch is drawn, and ctx.Err() is
-// returned on cancellation with nothing drawn. The pooled count buffer
-// is released on every path, including a panicking estimator.
-func LearnContext(ctx context.Context, o oracle.Oracle, r *rng.RNG, p *intervals.Partition, eps, c float64) (*dist.PiecewiseConstant, int, error) {
+// LearnContext is Learn honoring ctx at batch-draw granularity and the
+// count-synthesis strategy cs. The context is checked before the sample
+// batch is drawn, and ctx.Err() is returned on cancellation with nothing
+// drawn.
+//
+// The estimator reads only the per-interval totals of its fixed-m batch,
+// so under oracle.CountClosedForm an oracle with the CountDrawer
+// capability draws those totals as one multinomial over p's intervals
+// (CountDrawer.DrawIntervalCounts) instead of m single draws: the same
+// law, hence the same Lemma 3.5 guarantee, at O(ℓ·log m) cost. Every
+// other oracle, and CountExact, draws per sample into a pooled count
+// buffer that is released on every path, including a panicking
+// estimator. Neither path consumes r.
+func LearnContext(ctx context.Context, o oracle.Oracle, r *rng.RNG, p *intervals.Partition, eps, c float64, cs oracle.CountStrategy) (*dist.PiecewiseConstant, int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
 	m := LearnSamples(p.Count(), eps, c)
+	if cd, ok := o.(oracle.CountDrawer); ok && cs == oracle.CountClosedForm {
+		tallies := make([]int, p.Count())
+		cd.DrawIntervalCounts(p, m, tallies)
+		return intervalLaplaceEstimate(tallies, m, p), m, nil
+	}
 	counts := oracle.DrawNCounts(o, m)
 	defer counts.Release()
 	return LaplaceEstimate(counts, p), m, nil
+}
+
+// intervalLaplaceEstimate is LaplaceEstimate from per-interval tallies of
+// an m-sample batch: interval I_j receives mass (N_j + 1) / (m + ℓ).
+func intervalLaplaceEstimate(tallies []int, m int, p *intervals.Partition) *dist.PiecewiseConstant {
+	ell := len(tallies)
+	masses := make([]float64, ell)
+	for j, nj := range tallies {
+		masses[j] = float64(nj+1) / float64(m+ell)
+	}
+	d, err := dist.FromWeights(p, masses)
+	if err != nil {
+		panic(err) // masses are positive and complete by construction
+	}
+	return d
 }
 
 // EmpiricalFlattening returns the plain empirical flattening over p:

@@ -1,6 +1,7 @@
 package learn
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -176,6 +177,125 @@ func TestLearnChiSqGuarantee(t *testing.T) {
 	}
 }
 
+// learnTestDist is a 3-histogram over [0, 300) and learnTestPartition
+// an equal-width partition whose intervals straddle its breakpoints, so
+// interval masses mix runs.
+func learnTestDist() *dist.PiecewiseConstant {
+	return dist.MustPiecewiseConstant(300, []dist.Piece{
+		{Iv: intervals.Interval{Lo: 0, Hi: 100}, Mass: 0.2},
+		{Iv: intervals.Interval{Lo: 100, Hi: 150}, Mass: 0.5},
+		{Iv: intervals.Interval{Lo: 150, Hi: 300}, Mass: 0.3},
+	})
+}
+
+func learnTestPartition() *intervals.Partition { return intervals.EquiWidth(300, 7) }
+
+// TestLearnClosedFormFallbackBitIdentical: oracles without the
+// CountDrawer capability — Replay, CountsReplay and a Permuted sampler —
+// asked for closed form run the exact per-sample learner: the same
+// estimate bit for bit, the same draws, and neither strategy touches r.
+func TestLearnClosedFormFallbackBitIdentical(t *testing.T) {
+	d, p := learnTestDist(), learnTestPartition()
+	const eps, c = 0.5, 10.0
+	m := LearnSamples(p.Count(), eps, c)
+	data := oracle.DrawN(oracle.NewSampler(d, rng.New(31)), 2*m)
+	sigma := rng.New(32).Perm(300)
+	oracles := map[string]func() oracle.Oracle{
+		"replay": func() oracle.Oracle {
+			rep, err := oracle.NewReplay(300, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rep
+		},
+		"counts-replay": func() oracle.Oracle {
+			return oracle.NewCountsReplay(oracle.NewCounts(300, data), rng.New(33))
+		},
+		"permuted": func() oracle.Oracle {
+			perm, err := oracle.NewPermuted(oracle.NewSampler(d, rng.New(34)), sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return perm
+		},
+	}
+	for name, mk := range oracles {
+		run := func(cs oracle.CountStrategy) ([]float64, int64, uint64) {
+			o, r := mk(), rng.New(35)
+			est, _, err := LearnContext(context.Background(), o, r, p, eps, c, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			masses := make([]float64, p.Count())
+			for j := range masses {
+				masses[j] = est.IntervalMass(p.Interval(j))
+			}
+			return masses, o.Samples(), r.Uint64()
+		}
+		ex, exDrawn, exNext := run(oracle.CountExact)
+		cf, cfDrawn, cfNext := run(oracle.CountClosedForm)
+		if exDrawn != int64(m) || cfDrawn != exDrawn {
+			t.Fatalf("%s: drew %d (exact) and %d (closed form), want %d", name, exDrawn, cfDrawn, m)
+		}
+		for j := range ex {
+			if ex[j] != cf[j] {
+				t.Fatalf("%s: interval %d mass %v (exact) vs %v (closed form)", name, j, ex[j], cf[j])
+			}
+		}
+		if fresh := rng.New(35).Uint64(); exNext != fresh || cfNext != fresh {
+			t.Fatalf("%s: learner consumed r", name)
+		}
+	}
+}
+
+// TestLearnClosedFormMeanMatchesExact: the Laplace estimate is affine in
+// the interval tallies, so under either strategy E[D̂(I_j)] =
+// (m·D(I_j) + 1)/(m + ℓ). The mean over R fixed-seed runs of each
+// strategy must sit within 5 standard errors of it on every interval;
+// a closed-form batch that misplaced mass across a run boundary would
+// not. The closed-form runs must also draw exactly m samples and leave r
+// untouched.
+func TestLearnClosedFormMeanMatchesExact(t *testing.T) {
+	d, p := learnTestDist(), learnTestPartition()
+	const eps, c = 0.5, 10.0
+	ell := p.Count()
+	m := LearnSamples(ell, eps, c)
+	probs := make([]float64, ell)
+	for j := range probs {
+		probs[j] = d.IntervalMass(p.Interval(j))
+	}
+	for _, cs := range []oracle.CountStrategy{oracle.CountExact, oracle.CountClosedForm} {
+		const reps = 2000
+		s := oracle.NewSampler(d, rng.New(36))
+		r := rng.New(37)
+		sum := make([]float64, ell)
+		for rep := 0; rep < reps; rep++ {
+			before := s.Samples()
+			est, got, err := LearnContext(context.Background(), s, r, p, eps, c, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != m || s.Samples()-before != int64(m) {
+				t.Fatalf("%v: budget %d, drew %d, want %d", cs, got, s.Samples()-before, m)
+			}
+			for j := range sum {
+				sum[j] += est.IntervalMass(p.Interval(j))
+			}
+		}
+		if r.Uint64() != rng.New(37).Uint64() {
+			t.Fatalf("%v: learner consumed r", cs)
+		}
+		den := float64(m + ell)
+		for j, pj := range probs {
+			want := (float64(m)*pj + 1) / den
+			se := math.Sqrt(float64(m)*pj*(1-pj)/reps) / den
+			if got := sum[j] / reps; math.Abs(got-want) > 5*se {
+				t.Fatalf("%v: interval %d mean D̂ %.6f, want %.6f ± %.6f", cs, j, got, want, 5*se)
+			}
+		}
+	}
+}
+
 func TestLearnExcusesBreakpointIntervals(t *testing.T) {
 	// A breakpoint strictly inside a partition interval makes the
 	// flattening lossy there, but off the breakpoint intervals the learner
@@ -241,5 +361,19 @@ func TestBreakpointIntervals(t *testing.T) {
 	// A k-histogram has at most k-1 breakpoint intervals.
 	if got := BreakpointIntervals(d, intervals.Whole(n)); len(got) > 2 {
 		t.Fatalf("too many breakpoint intervals: %v", got)
+	}
+}
+
+// TestSampleBudgetsSaturate: budgets past 2⁶³ saturate at math.MaxInt
+// instead of wrapping negative, so the callers' guards see them.
+func TestSampleBudgetsSaturate(t *testing.T) {
+	if got := ApproxPartSamples(1e300, 20); got != math.MaxInt {
+		t.Errorf("ApproxPartSamples(1e300) = %d, want %d", got, math.MaxInt)
+	}
+	if got := LearnSamples(4, 1e-10, 1); got != math.MaxInt {
+		t.Errorf("LearnSamples at ε = 1e-10 = %d, want %d", got, math.MaxInt)
+	}
+	if got := LearnSamples(4, 0.5, 1); got != 16 {
+		t.Errorf("LearnSamples(4, 0.5, 1) = %d, want 16", got)
 	}
 }

@@ -74,6 +74,8 @@ const (
 	// oracle draws the stage consumed. Summed over a run's StageExit
 	// events this equals the oracle's total draw count exactly (the
 	// sample-conservation invariant, pinned by TestSampleConservation).
+	// The learn stage's exit also sets Exact or ClosedForm to 1, naming
+	// the count-synthesis path its one batch took.
 	KindStageExit
 	// KindSieveRound reports one sieve decision batch: Round (0 is the
 	// stage-3a heavy pass, 1.. are the halving rounds), Removed intervals,
@@ -139,11 +141,12 @@ type Event struct {
 	// Dense and Sparse count the round's batches by counting path taken
 	// (the m >= n/64 crossover of oracle.Counts).
 	Dense, Sparse int
-	// Exact and ClosedForm count the round's batches by count-synthesis
+	// Exact and ClosedForm count the round's batches (SieveRound) or the
+	// learn stage's one batch (its StageExit) by count-synthesis
 	// strategy actually used (oracle.CountStrategy after capability
 	// fallback): Exact batches drew every sample individually,
-	// ClosedForm batches synthesized the count vector from the sampler's
-	// run structure.
+	// ClosedForm batches synthesized the tallies from the sampler's run
+	// structure.
 	Exact, ClosedForm int
 	// PoolHits and PoolMisses are the oracle buffer-pool acquire deltas
 	// observed during the round. The pool counters are process-global, so

@@ -85,13 +85,14 @@ func TestJSONLinesSchema(t *testing.T) {
 		Removed: 1, Workers: 4, Replicates: 7, Dense: 7, PoolHits: 6, PoolMisses: 1,
 		Samples: 12345,
 	})
+	j.Observe(Event{Run: 3, Kind: KindStageExit, Stage: StageLearn, Samples: 4096, ClosedForm: 1})
 	j.Observe(Event{Run: 3, Kind: KindRunEnd, Accept: true, Samples: 99999})
 	if err := j.Err(); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("want 3 JSONL lines, got %d: %q", len(lines), buf.String())
+	if len(lines) != 4 {
+		t.Fatalf("want 4 JSONL lines, got %d: %q", len(lines), buf.String())
 	}
 	var first map[string]any
 	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
@@ -109,6 +110,17 @@ func TestJSONLinesSchema(t *testing.T) {
 	}
 	if round["stage"] != "sieve" || round["round"] != float64(2) || round["dense_batches"] != float64(7) {
 		t.Fatalf("sieve-round line wrong: %v", round)
+	}
+	// The learn stage's exit names the count-synthesis path of its batch.
+	var learn map[string]any
+	if err := json.Unmarshal([]byte(lines[2]), &learn); err != nil {
+		t.Fatal(err)
+	}
+	if learn["kind"] != "stage-exit" || learn["stage"] != "learn" || learn["closed_form_batches"] != float64(1) {
+		t.Fatalf("learn stage-exit line wrong: %v", learn)
+	}
+	if _, hasExact := learn["exact_batches"]; hasExact {
+		t.Fatalf("closed-form learn exit should omit exact_batches: %v", learn)
 	}
 }
 

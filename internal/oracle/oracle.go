@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"repro/internal/dist"
+	"repro/internal/intervals"
 	"repro/internal/rng"
 )
 
@@ -143,8 +144,11 @@ func DrawCounts(o Oracle, r *rng.RNG, mean float64) *Counts {
 	return c
 }
 
-// CountStrategy selects how Poissonized count vectors are synthesized for
-// oracles backed by a KNOWN sampler.
+// CountStrategy selects how batch tallies are synthesized for oracles
+// backed by a KNOWN sampler: the Poissonized count vectors of the sieve
+// and the final test, and the learner's fixed-m interval totals. The
+// ApproxPart batch is always drawn per sample, because it needs
+// per-element counts.
 type CountStrategy uint8
 
 const (
@@ -191,12 +195,12 @@ func ParseCountStrategy(s string) (CountStrategy, error) {
 	return CountExact, fmt.Errorf("oracle: unknown count strategy %q (want \"exact\" or \"closed-form\")", s)
 }
 
-// CountDrawer is an Oracle that can synthesize a Poissonized count vector
-// in closed form, without drawing the underlying samples one at a time.
-// Only oracles that KNOW their distribution (the alias-table Sampler) can
+// CountDrawer is an Oracle that can synthesize batch tallies in closed
+// form, without drawing the underlying samples one at a time. Only
+// oracles that KNOW their distribution (the alias-table Sampler) can
 // implement it; wrappers that reshape the sample stream (Permuted) and
-// data-backed oracles (Replay, Source adapters) cannot,
-// and take the per-draw fallback in DrawCountsWith.
+// data-backed oracles (Replay, CountsReplay, Source adapters) cannot,
+// and take the per-draw fallback.
 type CountDrawer interface {
 	Oracle
 	// DrawPoissonCountsClosedForm returns a pooled count vector whose
@@ -206,6 +210,12 @@ type CountDrawer interface {
 	// budget accounting matches the per-draw path. The caller owns the
 	// Counts; Release it once consumed.
 	DrawPoissonCountsClosedForm(r *rng.RNG, mean float64) *Counts
+	// DrawIntervalCounts draws a batch of exactly m samples and writes
+	// only its per-interval tallies over p into out (len(out) ==
+	// p.Count()). The tallies have the law of tallying m per-sample
+	// draws — Multinomial(m; D(I_1), …, D(I_K)) — and Samples() grows
+	// by exactly m.
+	DrawIntervalCounts(p *intervals.Partition, m int, out []int)
 }
 
 // EffectiveStrategy resolves the strategy DrawCountsWith will actually
@@ -249,11 +259,12 @@ type Sampler struct {
 	w     []float64 // normalized run weights (mass_j / total), immutable
 	count int64
 
-	// cfTotals is DrawPoissonCountsClosedForm's per-run total scratch:
-	// lazily grown, private per sampler instance (forks never share it),
-	// so repeated closed-form batches are allocation-free in steady
-	// state.
+	// cfTotals is DrawPoissonCountsClosedForm's per-run total scratch
+	// and ivMass DrawIntervalCounts' per-interval mass scratch: lazily
+	// grown, private per sampler instance (forks never share them), so
+	// repeated closed-form batches are allocation-free in steady state.
 	cfTotals []int
+	ivMass   []float64
 }
 
 var _ Oracle = (*Sampler)(nil)
@@ -446,6 +457,70 @@ func (s *Sampler) DrawPoissonCountsClosedForm(r *rng.RNG, mean float64) *Counts 
 	return c
 }
 
+// DrawIntervalCounts implements CountDrawer: it draws the interval
+// tallies (N_1, …, N_K) of a fixed m-sample batch as one
+// Multinomial(m; D(I_1), …, D(I_K)) by sequential conditional binomials,
+//
+//	N_j ~ Binomial(m − N_1 − … − N_{j−1}, D(I_j) / S_j),  S_j = Σ_{i≥j} D(I_i),
+//
+// which is exactly the law of tallying m i.i.d. draws per interval. The
+// interval masses come from one merge walk over the sampler's runs and
+// p; the conditional probabilities use suffix sums (not 1 − prefix,
+// which cancels catastrophically on light tails) clamped to [0, 1]. A
+// zero-mass interval gets 0 and an interval with no mass after it takes
+// the whole remainder, so the tallies always sum to m. Cost is
+// O(K + runs + K·log m) instead of m alias draws. Randomness comes from
+// the sampler's own stream, as the per-sample draws do.
+func (s *Sampler) DrawIntervalCounts(p *intervals.Partition, m int, out []int) {
+	K := p.Count()
+	if p.N() != s.n || len(out) != K {
+		panic(fmt.Sprintf("oracle: interval tallies of a %d-interval partition over [0,%d) into %d slots from a sampler over [0,%d)",
+			K, p.N(), len(out), s.n))
+	}
+	if cap(s.ivMass) < 2*K {
+		s.ivMass = make([]float64, 2*K)
+	}
+	// mass[j] = D(I_j); tail[j] = Σ_{i>j} D(I_i).
+	mass, tail := s.ivMass[:K], s.ivMass[K:2*K]
+	run := 0
+	for j := range mass {
+		iv := p.Interval(j)
+		acc := 0.0
+		for lo := iv.Lo; lo < iv.Hi; {
+			for s.hi[run] <= lo {
+				run++
+			}
+			hi := min(iv.Hi, s.hi[run])
+			if width := s.hi[run] - s.lo[run]; hi-lo == width {
+				acc += s.w[run]
+			} else {
+				acc += s.w[run] * float64(hi-lo) / float64(width)
+			}
+			lo = hi
+		}
+		mass[j] = acc
+	}
+	after := 0.0
+	for j := K - 1; j >= 0; j-- {
+		tail[j] = after
+		after += mass[j]
+	}
+	rem := m
+	for j := range out {
+		switch {
+		case rem == 0 || mass[j] == 0:
+			out[j] = 0
+		case tail[j] == 0:
+			out[j] = rem
+		default:
+			q := min(max(mass[j]/(mass[j]+tail[j]), 0), 1)
+			out[j] = s.r.Binomial(rem, q)
+		}
+		rem -= out[j]
+	}
+	s.count += int64(m)
+}
+
 // Samples returns how many samples have been drawn.
 func (s *Sampler) Samples() int64 { return s.count }
 
@@ -525,6 +600,11 @@ func (p *Permuted) Absorb(drawn int64) {
 }
 
 var _ Forker = (*Permuted)(nil)
+
+// ErrOverBudget marks a run refused before its first draw because its
+// nominal sample budget exceeds the configured guard (core.Config and
+// closeness.Config MaxSamples). Serving layers map it to a client error.
+var ErrOverBudget = errors.New("nominal sample budget exceeds the guard")
 
 // ErrReplayExhausted is the value Replay.Draw panics with when the
 // recording runs out. Callers that run a tester over recorded data (e.g.

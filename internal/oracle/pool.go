@@ -177,10 +177,25 @@ func releaseOnPanic(c *Counts) {
 // (m sequential draws from o) and yields identical counts. The caller
 // owns the result; Release it when the tally has been consumed.
 func DrawNCounts(o Oracle, m int) *Counts {
+	if s, ok := o.(*Sampler); ok {
+		return s.drawNCounts(m)
+	}
 	c := acquireCountsSized(o.N(), m)
 	defer releaseOnPanic(c)
 	for i := 0; i < m; i++ {
 		c.add(o.Draw())
+	}
+	return c
+}
+
+// drawNCounts is DrawNCounts specialized to the alias-table sampler: the
+// tally loop runs devirtualized over the same draws, so the counts and
+// the randomness consumed are identical to the generic path.
+func (s *Sampler) drawNCounts(m int) *Counts {
+	c := acquireCountsSized(s.n, m)
+	s.count += int64(m)
+	for i := 0; i < m; i++ {
+		c.bump(s.draw())
 	}
 	return c
 }

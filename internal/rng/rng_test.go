@@ -106,6 +106,54 @@ func TestIntnBounds(t *testing.T) {
 	}
 }
 
+// TestIntnGoldenSequence pins Intn's output stream bit for bit: every
+// seed pin in the repository flows through it, so a faster Intn must
+// reproduce the same values and consume the same Uint64s. The bounds near
+// 2⁶² and 5·2⁶⁰ reject a sixteenth to a quarter of first draws, so the
+// sequence also covers Lemire's rejection loop (asserted below by
+// counting consumed words).
+func TestIntnGoldenSequence(t *testing.T) {
+	golden := []struct {
+		n    int
+		want [4]int
+	}{
+		{1, [4]int{0, 0, 0, 0}},
+		{2, [4]int{0, 1, 1, 0}},
+		{3, [4]int{1, 0, 2, 1}},
+		{10, [4]int{2, 2, 2, 4}},
+		{1000, [4]int{448, 407, 292, 644}},
+		{1 << 20, [4]int{34611, 295555, 587530, 426776}},
+		{1<<62 + 1, [4]int{448544490541085921, 420504365925226478, 2505424950819962121, 430744752970495329}},
+		{3 << 61, [4]int{3020138863933934903, 715536781348666650, 67721903287839686, 4674509867829956691}},
+		{1<<63 - 1, [4]int{3154208952932953006, 1585631888209494856, 1819276933691333082, 1803801304025808868}},
+		{5<<60 + 1, [4]int{3738232204277107854, 1446167287255624371, 698483870659385154, 4728790238522846271}},
+	}
+	r := New(20261017)
+	start := *r
+	calls := 0
+	for _, g := range golden {
+		for i, want := range g.want {
+			if got := r.Intn(g.n); got != want {
+				t.Fatalf("Intn(%d) draw %d = %d, want %d", g.n, i, got, want)
+			}
+			calls++
+		}
+	}
+	if got, want := r.Uint64(), uint64(3398472297153358872); got != want {
+		t.Fatalf("stream after the golden draws = %d, want %d", got, want)
+	}
+	// Count the words the sequence consumed: more than one per call means
+	// the rejection branch ran.
+	words := 0
+	for start != *r {
+		start.Uint64()
+		words++
+	}
+	if words-1 <= calls {
+		t.Fatalf("%d Intn calls consumed %d words: the rejection branch never ran", calls, words-1)
+	}
+}
+
 func TestIntnPanicsOnNonPositive(t *testing.T) {
 	defer func() {
 		if recover() == nil {

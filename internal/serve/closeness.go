@@ -135,11 +135,7 @@ func runCloseness(ctx context.Context, ct *closeness.Tester, sp *runSpec, index 
 
 	out, err := ct.Run(ctx, sp.o, cr.oy, rng.New(sp.seed), sp.k, sp.eps, cr.cfg)
 	if err != nil {
-		code := client.ErrCodeInternal
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			code = client.ErrCodeCanceled
-		}
-		return errorResult(index, code, err)
+		return runErrorResult(index, err)
 	}
 	return client.TestResult{
 		Index:       index,

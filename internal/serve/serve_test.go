@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -599,6 +600,40 @@ func TestBadRequests(t *testing.T) {
 			t.Fatalf("expected 400 for an invalid spec, got %d", resp.StatusCode)
 		}
 	})
+}
+
+// TestOverBudgetRequestsFailFast: histd admits any ε in (0, 1], so a
+// request whose nominal budget is astronomical must be refused by the
+// budget guard before it draws — a typed 400 within the request, never
+// a worker pinned on an endless run (a budget that wrapped negative
+// would pass the guard).
+func TestOverBudgetRequestsFailFast(t *testing.T) {
+	_, _, c := newTestServer(t, serve.Config{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	spec := client.HistogramSpec{N: 4096, Cuts: []int{1024, 2048}, Masses: []float64{0.5, 0.2, 0.3}}
+	check := func(label string, err error, start time.Time) {
+		t.Helper()
+		apiErr, ok := err.(*client.APIError)
+		if !ok || apiErr.Status != http.StatusBadRequest || apiErr.Code != client.ErrCodeBadRequest {
+			t.Fatalf("%s: error = %v, want 400 %s", label, err, client.ErrCodeBadRequest)
+		}
+		if el := time.Since(start); el > 5*time.Second {
+			t.Fatalf("%s: refused after %v, want a prompt refusal", label, el)
+		}
+	}
+	for _, engine := range core.Engines() {
+		start := time.Now()
+		_, err := c.Test(ctx, client.TestRequest{Spec: ptr(spec), K: 4, Eps: 1e-5, Engine: engine, Seed: 1})
+		check("/v1/test "+engine, err, start)
+	}
+	for _, eps := range []float64{1e-5, 1e-9} {
+		start := time.Now()
+		_, err := c.Closeness(ctx, client.ClosenessRequest{
+			A: client.ClosenessSide{Spec: ptr(spec)}, B: client.ClosenessSide{Spec: ptr(spec)}, K: 4, Eps: eps, Seed: 1,
+		})
+		check(fmt.Sprintf("/v1/closeness eps=%g", eps), err, start)
+	}
 }
 
 // TestExpvarCounters: served runs move the histd.* and histtest.*

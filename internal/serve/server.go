@@ -471,11 +471,7 @@ func runOne(ctx context.Context, arena *core.Arena, sp *runSpec, index int, ob o
 	cfg.Observer = ob
 	result, err := arena.TestContext(ctx, sp.o, rng.New(sp.seed), sp.k, sp.eps, cfg)
 	if err != nil {
-		code := client.ErrCodeInternal
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			code = client.ErrCodeCanceled
-		}
-		return errorResult(index, code, err)
+		return runErrorResult(index, err)
 	}
 	tr := result.Trace
 	return client.TestResult{
@@ -504,6 +500,21 @@ func runOne(ctx context.Context, arena *core.Arena, sp *runSpec, index int, ob o
 			RejectReason:     tr.RejectReason,
 		},
 	}
+}
+
+// runErrorResult wraps a tester failure as a wire result: a cancelled or
+// timed-out run is ErrCodeCanceled, a run refused by the budget guard is
+// the client's ErrCodeBadRequest (its k and ε ask for more samples than
+// the deployment allows), and anything else is ErrCodeInternal.
+func runErrorResult(index int, err error) client.TestResult {
+	code := client.ErrCodeInternal
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		code = client.ErrCodeCanceled
+	case errors.Is(err, oracle.ErrOverBudget):
+		code = client.ErrCodeBadRequest
+	}
+	return errorResult(index, code, err)
 }
 
 // errorResult wraps a failure as a wire result.

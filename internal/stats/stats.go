@@ -120,6 +120,18 @@ func HoeffdingSamples(eps, delta float64) int {
 	return int(math.Ceil(math.Log(2/delta) / (2 * eps * eps)))
 }
 
+// SaturatingInt64 converts a nonnegative sample budget computed in
+// float64 to int64, saturating at math.MaxInt64: a budget at or above
+// 2⁶³, +Inf or NaN maps to math.MaxInt64 instead of wrapping (a plain
+// int64 conversion of such a value is implementation-defined and is
+// negative on amd64). Budgets below 2⁶³ truncate as int64(x) does.
+func SaturatingInt64(x float64) int64 {
+	if !(x < 1<<63) {
+		return math.MaxInt64
+	}
+	return int64(x)
+}
+
 // ChernoffUpperTail bounds Pr[X >= (1+t)·mu] for a sum X of independent
 // [0,1] variables with mean mu, t >= 0: exp(-t²·mu / (2+t)).
 func ChernoffUpperTail(mu, t float64) float64 {

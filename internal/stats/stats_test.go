@@ -198,3 +198,22 @@ func TestQuantile(t *testing.T) {
 		t.Fatalf("median quantile = %v", Quantile(xs, 0.5))
 	}
 }
+
+func TestSaturatingInt64(t *testing.T) {
+	for _, tc := range []struct {
+		x    float64
+		want int64
+	}{
+		{0, 0},
+		{41.9, 41},
+		{1 << 62, 1 << 62},
+		{1 << 63, math.MaxInt64},
+		{1e30, math.MaxInt64},
+		{math.Inf(1), math.MaxInt64},
+		{math.NaN(), math.MaxInt64},
+	} {
+		if got := SaturatingInt64(tc.x); got != tc.want {
+			t.Errorf("SaturatingInt64(%g) = %d, want %d", tc.x, got, tc.want)
+		}
+	}
+}
