@@ -120,16 +120,16 @@ func benchEightHistogram(n int) *dist.PiecewiseConstant {
 	return dist.MustPiecewiseConstant(n, pieces)
 }
 
-// benchSieveWorkers runs the full tester at production scale (n = 10⁵,
+// benchSieveFanOut runs the full tester at production scale (n = 10⁵,
 // k = 8) with the derived Θ(log k) sieve replicates, the axis the
 // Workers knob parallelizes. Compare
 //
-//	go test -bench=SieveWorkers -benchtime=3x
+//	go test -bench=SieveFanOut -benchtime=3x
 //
 // between the Serial and Parallel variants: on a multi-core machine the
 // parallel run should be well over 1.5× faster, with bit-identical
 // decisions per seed (asserted below).
-func benchSieveWorkers(b *testing.B, workers int) {
+func benchSieveFanOut(b *testing.B, workers int) {
 	const n, k = 100_000, 8
 	const eps = 0.8
 	cfg := core.PracticalConfig()
@@ -150,8 +150,8 @@ func benchSieveWorkers(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkSieveWorkersSerial(b *testing.B)   { benchSieveWorkers(b, 1) }
-func BenchmarkSieveWorkersParallel(b *testing.B) { benchSieveWorkers(b, 0) }
+func BenchmarkSieveFanOutSerial(b *testing.B)   { benchSieveFanOut(b, 1) }
+func BenchmarkSieveFanOutParallel(b *testing.B) { benchSieveFanOut(b, 0) }
 
 // BenchmarkCoreTestHotPath measures the steady-state cost of repeated
 // tester invocations at production scale (n = 10⁵, k = 8) — the
@@ -222,9 +222,9 @@ func BenchmarkIngestSoakParallel4(b *testing.B) { benchhot.IngestSoak(b, 4) }
 func BenchmarkIngestDecodeBinary(b *testing.B) { benchhot.IngestDecodeBinary(b) }
 func BenchmarkIngestDecodeNDJSON(b *testing.B) { benchhot.IngestDecodeNDJSON(b) }
 
-// TestSieveWorkersBenchmarkDeterminism pins the benchmark's claim that
+// TestSieveFanOutBenchmarkDeterminism pins the benchmark's claim that
 // serial and parallel runs decide identically per seed.
-func TestSieveWorkersBenchmarkDeterminism(t *testing.T) {
+func TestSieveFanOutBenchmarkDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale tester run")
 	}

@@ -59,20 +59,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("histd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr         = fs.String("addr", "localhost:8765", "listen address")
-		workers      = fs.Int("workers", 0, "worker pool size (concurrent tester runs); 0 = all cores")
-		queue        = fs.Int("queue", 0, "admission queue depth beyond the running workers; 0 = 2x workers")
-		timeout      = fs.Duration("timeout", 30*time.Second, "default per-request deadline (requests may lower it; 0 disables)")
-		maxTimeout   = fs.Duration("max-timeout", 5*time.Minute, "upper clamp on request-supplied deadlines")
-		sieveWorkers = fs.Int("sieve-workers", 0, "max within-request sieve fan-out a request may ask for; 0 = cores/workers (caps aggregate fan-out at all cores), negative = serial")
-		retryAfter   = fs.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
-		drainT       = fs.Duration("drain-timeout", 15*time.Second, "how long in-flight runs may finish after SIGTERM before being cancelled")
-		maxBody      = fs.Int64("max-body", 1<<26, "request body size limit in bytes")
-		traceJSON    = fs.String("trace-json", "", "stream per-request stage events as JSON lines to this file")
-		maxStreams   = fs.Int("max-streams", 0, "max live ingestion streams across all tenants; 0 = 256")
-		tenantQuota  = fs.Int("tenant-streams", 0, "max live ingestion streams per tenant; 0 = 32")
-		streamTTL    = fs.Duration("stream-ttl", 0, "evict ingestion streams idle this long; 0 = 15m")
-		ingestQueue  = fs.Int("ingest-queue", 0, "max concurrently decoding ingest batches before 429 pushback; 0 = 2x workers")
+		addr        = fs.String("addr", "localhost:8765", "listen address")
+		workers     = fs.Int("workers", 0, "worker pool size (concurrent tester runs); 0 = all cores. Each run fans its replicates out over max(1, cores/workers) goroutines")
+		queue       = fs.Int("queue", 0, "admission queue depth beyond the running workers, and the largest /v1/test/stream batch; 0 = 2x workers")
+		timeout     = fs.Duration("timeout", 30*time.Second, "default per-request deadline (requests may lower it; 0 disables)")
+		maxTimeout  = fs.Duration("max-timeout", 5*time.Minute, "upper clamp on request-supplied deadlines")
+		retryAfter  = fs.Duration("retry-after", time.Second, "Retry-After hint on 429/503 responses")
+		drainT      = fs.Duration("drain-timeout", 15*time.Second, "how long in-flight runs may finish after SIGTERM before being cancelled")
+		maxBody     = fs.Int64("max-body", 1<<26, "request body size limit in bytes")
+		traceJSON   = fs.String("trace-json", "", "stream per-request stage events as JSON lines to this file")
+		maxStreams  = fs.Int("max-streams", 0, "max live ingestion streams across all tenants; 0 = 256")
+		tenantQuota = fs.Int("tenant-streams", 0, "max live ingestion streams per tenant; 0 = 32")
+		streamTTL   = fs.Duration("stream-ttl", 0, "evict ingestion streams idle this long; 0 = 15m")
+		ingestQueue = fs.Int("ingest-queue", 0, "max concurrently decoding ingest batches before 429 pushback; 0 = 2x workers")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -87,7 +86,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		QueueDepth:        *queue,
 		DefaultTimeout:    *timeout,
 		MaxTimeout:        *maxTimeout,
-		SieveWorkers:      *sieveWorkers,
 		RetryAfter:        *retryAfter,
 		MaxBodyBytes:      *maxBody,
 		MaxStreams:        *maxStreams,

@@ -114,7 +114,10 @@ func (c *Client) RegisterSampler(ctx context.Context, spec HistogramSpec) (*Regi
 
 // TestStream submits a batch and invokes fn for each result as it
 // arrives (completion order, each tagged with its request index). A
-// non-nil error from fn aborts the stream and is returned.
+// non-nil error from fn aborts the stream and is returned. The batch is
+// admitted whole or pushed back (429, retried); a batch larger than the
+// server's queue depth can never be admitted and fails at once with a
+// 400 *APIError.
 func (c *Client) TestStream(ctx context.Context, reqs []TestRequest, fn func(TestResult) error) error {
 	return c.retry(ctx, func() error {
 		resp, err := c.post(ctx, "/v1/test/stream", BatchRequest{Requests: reqs})

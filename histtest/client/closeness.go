@@ -49,10 +49,6 @@ type ClosenessRequest struct {
 	SamplerSeed uint64 `json:"sampler_seed,omitempty"`
 	// Scale multiplies every stage's sample budget (0 means 1).
 	Scale float64 `json:"scale,omitempty"`
-	// Workers bounds the replicate fan-out WITHIN this request (0 means
-	// serial). The server caps it at its -sieve-workers limit; the
-	// verdict is identical for every value.
-	Workers int `json:"workers,omitempty"`
 	// CountStrategy selects Poissonized count synthesis, as in
 	// TestRequest: "" or "exact", or "closed-form" (sampler-backed
 	// sides only; dataset and stream sides always use the exact path).

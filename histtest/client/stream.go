@@ -106,9 +106,6 @@ type StreamTestRequest struct {
 	// Seed overrides the stream's snapshot seed for this run (0 = the
 	// stream's own seed).
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers bounds the sieve fan-out within the run (as in
-	// TestRequest.Workers).
-	Workers int `json:"workers,omitempty"`
 	// TimeoutMS caps the run's server-side wall clock.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }

@@ -53,10 +53,6 @@ type TestRequest struct {
 	Scale float64 `json:"scale,omitempty"`
 	// Paper switches to the literal paper constants.
 	Paper bool `json:"paper,omitempty"`
-	// Workers bounds the sieve's replicate fan-out WITHIN this request
-	// (0 means serial). The server caps it at its -sieve-workers limit;
-	// the verdict is identical for every value.
-	Workers int `json:"workers,omitempty"`
 	// CountStrategy selects how Poissonized count vectors are
 	// synthesized: "" or "exact" draws every sample individually (the
 	// default, bit-identical to historical runs), "closed-form"
@@ -163,7 +159,12 @@ type ErrorResponse struct {
 
 // BatchRequest is the body of /v1/test/stream: sub-requests run
 // concurrently on the server's worker pool and results stream back as
-// JSON lines in completion order, each tagged with its Index.
+// JSON lines in completion order, each tagged with its Index. At most
+// the server's queue depth (histd -queue) sub-requests fit one batch.
+//
+// No request type carries a fan-out width: the server derives each
+// run's within-run width from its pool size, and a body that still
+// sends "workers" is rejected as an unknown field (400).
 type BatchRequest struct {
 	Requests []TestRequest `json:"requests"`
 }

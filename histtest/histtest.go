@@ -50,15 +50,12 @@ type Options struct {
 	// Scale multiplies every stage's sample budget (default 1). Values
 	// below 1 trade confidence for samples.
 	Scale float64
-	// Workers bounds the goroutines the tester's sieve uses for its
-	// independent replicate draws: 0 means all cores (GOMAXPROCS), 1
-	// forces serial execution. The verdict is identical for every value —
-	// parallelism only changes wall-clock time, never the decision.
+	// Config, if non-nil, overrides Paper/Scale entirely (expert use).
+	// Its Workers field bounds the sieve's replicate fan-out (0 = all
+	// cores, 1 = serial); the verdict is identical for every value.
 	// Parallel drawing needs independent sample streams, so it takes
 	// effect for TestSources; the single-stream entry points (TestSource,
 	// TestSamples) always draw serially.
-	Workers int
-	// Config, if non-nil, overrides Paper/Scale entirely (expert use).
 	Config *core.Config
 }
 
@@ -71,9 +68,6 @@ func (o Options) config() core.Config {
 		cfg = *o.Config
 	} else if o.Scale > 0 && o.Scale != 1 {
 		cfg = cfg.Scale(o.Scale)
-	}
-	if o.Workers != 0 {
-		cfg.Workers = o.Workers
 	}
 	return cfg
 }
@@ -143,15 +137,15 @@ func TestSource(src Source, n, k int, eps float64, opt Options) (Verdict, error)
 // independent of every other stream's (e.g. samplers seeded per stream).
 // Stream 0 is the tester's primary stream; other ids are derived
 // deterministically from Options.Seed, so a run is reproducible end to
-// end. Each returned Source is only ever drawn from one goroutine at a
-// time, but DISTINCT streams may be drawn concurrently — they must not
-// share mutable state.
+// end at every Options.Config.Workers width. Each returned Source is
+// only ever drawn from one goroutine at a time, but DISTINCT streams may
+// be drawn concurrently — they must not share mutable state.
 type Sources func(stream uint64) Source
 
 // sourcesOracle adapts a Sources factory to the internal oracle
 // interface. Unlike the single-callback sourceOracle it supports cloning,
 // which lets the tester's sieve draw its independent replicates in
-// parallel (see Options.Workers).
+// parallel (see Options.Config).
 type sourcesOracle struct {
 	sourceOracle
 	mk Sources
@@ -170,7 +164,7 @@ var _ oracle.Forker = (*sourcesOracle)(nil)
 // TestSources is TestSource for callers that can provide independent
 // sample streams. The extra capability unlocks the tester's parallel
 // sieve path: the independent replicate batches are drawn concurrently
-// across Options.Workers goroutines, each from its own stream. The
+// across core.Config.Workers goroutines, each from its own stream. The
 // verdict is deterministic given Options.Seed and the streams, and does
 // not depend on the worker count.
 func TestSources(mk Sources, n, k int, eps float64, opt Options) (Verdict, error) {

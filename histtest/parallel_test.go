@@ -18,7 +18,8 @@ func TestSourcesDeterministicAcrossWorkers(t *testing.T) {
 	cfg.SieveReps = 5
 	mk := func(stream uint64) Source { return h.Sampler(900 + stream) }
 	run := func(workers int) Verdict {
-		v, err := TestSources(mk, 1024, 4, 0.8, Options{Seed: 9, Workers: workers, Config: &cfg})
+		cfg.Workers = workers
+		v, err := TestSources(mk, 1024, 4, 0.8, Options{Seed: 9, Config: &cfg})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,9 +24,10 @@
 //     elements instead of n.
 //  3. Amplify — repeat stage 2 on fresh batches and take the majority
 //     verdict. Replicates fan out across Config.Workers when both
-//     oracles can fork; every replicate's randomness is split from r
-//     sequentially BEFORE any goroutine launches, so the verdict and all
-//     reported statistics are bit-identical at every worker count.
+//     oracles can fork (oracle.Replicas splits every replicate's
+//     randomness from r before any goroutine launches), so the verdict
+//     and all reported statistics are bit-identical at every worker
+//     count.
 //
 // Per the corrigendum's "don't trust the constants" discipline, the
 // constants here are calibrated empirically (the seed-pinned operating-
@@ -62,9 +63,10 @@ type Config struct {
 	// Reps is the majority-amplification replicate count (>= 1; odd
 	// values avoid ties — a tie rejects).
 	Reps int
-	// Workers bounds the replicate fan-out. It is a pure throughput
+	// Workers bounds the replicate fan-out (oracle.FanOut): <= 0 means
+	// GOMAXPROCS, 1 forces serial execution. It is a pure throughput
 	// knob: the verdict and statistics are bit-identical for every
-	// value. <= 1 means serial.
+	// value.
 	Workers int
 	// CountStrategy selects how the Poissonized per-replicate batches
 	// are synthesized (see oracle.CountStrategy); it is resolved against
@@ -181,24 +183,16 @@ type TwoSampleResult struct {
 }
 
 // Tester holds the reusable scratch of Run: per-replicate statistic and
-// threshold slots and the per-replicate RNG structs. Like core.Arena it
-// is not safe for concurrent use (the parallel replicates inside one Run
-// are fine: slots are disjoint), and reuse cannot change behavior — every
-// buffer is fully re-initialized per run and scratch management consumes
-// no randomness.
+// threshold slots and the replicate clones and RNG streams. Like
+// core.Arena it is not safe for concurrent use (the parallel replicates
+// inside one Run are fine: slots are disjoint), and reuse cannot change
+// behavior — every buffer is fully re-initialized per run and scratch
+// management consumes no randomness.
 type Tester struct {
-	zs     []float64
-	thrs   []float64
-	col    []float64
-	reprng []rng.RNG
-	forks  []twoSampleJob
-}
-
-// twoSampleJob binds one replicate's forked oracles to its private RNG
-// streams.
-type twoSampleJob struct {
-	ox, oy oracle.Oracle
-	rx, ry *rng.RNG
+	zs   []float64
+	thrs []float64
+	col  []float64
+	reps oracle.Replicas
 }
 
 // NewTester returns an empty Tester ready to thread through Run calls.
@@ -212,14 +206,6 @@ func (t *Tester) grow(reps int) {
 		t.col = make([]float64, reps)
 	}
 	t.zs, t.thrs, t.col = t.zs[:reps], t.thrs[:reps], t.col[:reps]
-	if cap(t.reprng) < 2*reps {
-		t.reprng = make([]rng.RNG, 2*reps)
-	}
-	t.reprng = t.reprng[:2*reps]
-	if cap(t.forks) < reps {
-		t.forks = make([]twoSampleJob, reps)
-	}
-	t.forks = t.forks[:reps]
 }
 
 // TestTwoSample runs the DKN'17 two-sample tester on a fresh Tester. See
@@ -297,12 +283,17 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 	csX := oracle.EffectiveStrategy(px, cfg.CountStrategy)
 	csY := oracle.EffectiveStrategy(py, cfg.CountStrategy)
 
-	// replicate computes one [CDVV14] decision: a Poissonized batch per
-	// side, folded onto the refinement, scored with the χ² statistic.
+	// Each replicate computes one [CDVV14] decision: a Poissonized batch
+	// per side, folded onto the refinement, scored with the χ² statistic.
 	// The z/thr slots are written once per replicate — two stores next
 	// to kilosample batch draws, so (unlike the sieve's statistic rows)
-	// the slices need no cache-line padding.
-	replicate := func(i int, ox, oy oracle.Oracle, rx, ry *rng.RNG) {
+	// the slices need no cache-line padding. Replicates fan out only
+	// when BOTH oracles can fork; otherwise they run serially on the
+	// shared oracles in replicate order (replay and counts-replay
+	// streams are inherently serial).
+	_, err := t.reps.Run(ctx, r, reps, cfg.Workers, oracle.CanForkAll(px, py), func(_, i int) {
+		ox, rx := t.reps.Side(i, 0)
+		oy, ry := t.reps.Side(i, 1)
 		cx := oracle.DrawCountsWith(ox, rx, m, csX)
 		cy := oracle.DrawCountsWith(oy, ry, m, csY)
 		z, thr := reducedDecision(cx, cy, p, cfg.Chi)
@@ -310,48 +301,7 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 		cx.Release()
 		t.zs[i] = z
 		t.thrs[i] = thr
-	}
-
-	// Fan out only when BOTH oracles can fork; otherwise the replicates
-	// run serially on the shared oracles in replicate order (replay and
-	// counts-replay streams are inherently serial), which is trivially
-	// worker-count independent.
-	fx, okx := forkable(px)
-	fy, oky := forkable(py)
-	fork := okx && oky
-	workers := 1
-	if fork {
-		// Determinism contract: every replicate's randomness — two
-		// streams, side X then side Y — is split from r sequentially
-		// BEFORE any goroutine launches.
-		for i := 0; i < reps; i++ {
-			rx, ry := &t.reprng[2*i], &t.reprng[2*i+1]
-			r.SplitInto(rx)
-			r.SplitInto(ry)
-			t.forks[i] = twoSampleJob{ox: fx.Fork(rx), oy: fy.Fork(ry), rx: rx, ry: ry}
-		}
-		workers = cfg.Workers
-	}
-	_, err := oracle.FanOut(ctx, reps, workers, func(_, i int) {
-		if fork {
-			j := t.forks[i]
-			replicate(i, j.ox, j.oy, j.rx, j.ry)
-		} else {
-			replicate(i, px, py, r, r)
-		}
-	})
-	if fork {
-		// Fold clone draws back so budget accounting stays exact — on
-		// the cancellation path too.
-		var drawnX, drawnY int64
-		for i := 0; i < reps; i++ {
-			drawnX += t.forks[i].ox.Samples()
-			drawnY += t.forks[i].oy.Samples()
-			t.forks[i] = twoSampleJob{} // release fork references
-		}
-		fx.Absorb(drawnX)
-		fy.Absorb(drawnY)
-	}
+	}, px, py)
 	if err != nil {
 		return nil, err
 	}
@@ -376,15 +326,6 @@ func (t *Tester) Run(ctx context.Context, px, py oracle.Oracle, r *rng.RNG, k in
 	res.SamplesY = py.Samples() - markY
 	res.TestSamples = res.SamplesX + res.SamplesY - res.PartitionSamples
 	return res, nil
-}
-
-// forkable reports whether o supports cloning for parallel replicates.
-func forkable(o oracle.Oracle) (oracle.Forker, bool) {
-	f, ok := o.(oracle.Forker)
-	if !ok || !f.CanFork() {
-		return nil, false
-	}
-	return f, true
 }
 
 // reducedDecision folds the two full-domain count vectors onto the

@@ -266,14 +266,49 @@ func TestTwoSampleSerialOracles(t *testing.T) {
 	}
 }
 
+// TestTwoSampleCancellation: a done context stops the run at the next
+// stage boundary — before side X's partition, between the two sides'
+// partitions, or (on the full-domain path, which has no partition
+// stage) before the first replicate of the vote, where the forked
+// clones have drawn nothing and the parents' accounting stays exact.
 func TestTwoSampleCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	r := rng.New(23)
-	px, py := yesPair(r, 2048, 4)
-	if _, err := TestTwoSample(ctx, px, py, rng.New(8), 4, 0.4, DefaultConfig()); err == nil {
-		t.Fatal("canceled context produced a verdict")
+	for _, tc := range []struct {
+		name         string
+		k            int
+		cancelOnDraw bool // cancel on side X's first draw instead of up front
+	}{
+		{"before partition", 4, false},
+		{"between partitions", 4, true},
+		{"before vote", 2048, false},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		px, py := yesPair(rng.New(23), 2048, 4)
+		var ox oracle.Oracle = px
+		if tc.cancelOnDraw {
+			ox = &cancelOnDraw{Oracle: px, cancel: cancel}
+		} else {
+			cancel()
+		}
+		_, err := TestTwoSample(ctx, ox, py, rng.New(8), tc.k, 0.4, DefaultConfig())
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", tc.name, err)
+		}
+		if py.Samples() != 0 || (!tc.cancelOnDraw && px.Samples() != 0) {
+			t.Fatalf("%s: drew %d/%d samples after the cancellation", tc.name, px.Samples(), py.Samples())
+		}
 	}
+}
+
+// cancelOnDraw cancels its context on every draw from the wrapped oracle.
+type cancelOnDraw struct {
+	oracle.Oracle
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnDraw) Draw() int {
+	c.cancel()
+	return c.Oracle.Draw()
 }
 
 // TestTwoSampleOCPin is the seed-pinned operating-characteristic

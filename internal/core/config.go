@@ -21,7 +21,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 
 	"repro/internal/chisq"
 	"repro/internal/obs"
@@ -104,14 +103,14 @@ type Config struct {
 	MaxSamples int64
 
 	// Workers bounds the goroutines used for the sieve's independent
-	// replicate draws: 0 means GOMAXPROCS, 1 forces serial execution, and
-	// higher values cap the fan-out. The decision and the Trace are
-	// identical for every value — each replicate's randomness is a
-	// sequential Split of the tester RNG taken before any goroutine
-	// launches — so Workers is purely a throughput knob. Parallelism
-	// requires an oracle that supports cloning (oracle.Forker, e.g. the
-	// alias-table Sampler); Replay and Source-backed oracles always run
-	// the serial path.
+	// replicate draws (oracle.FanOut): <= 0 means GOMAXPROCS, 1 forces
+	// serial execution, and higher values cap the fan-out. The decision
+	// and the Trace are identical for every value — each replicate's
+	// randomness is a sequential Split of the tester RNG taken before any
+	// goroutine launches — so Workers is purely a throughput knob.
+	// Parallelism requires an oracle that supports cloning
+	// (oracle.Forker, e.g. the alias-table Sampler); Replay and
+	// Source-backed oracles always run the serial path.
 	Workers int
 
 	// CountStrategy selects how the tester's Poissonized count vectors
@@ -143,14 +142,6 @@ type Config struct {
 	// never consumes randomness, so the decision and the Trace are
 	// bit-identical with and without one.
 	Observer obs.Observer
-}
-
-// workers resolves the Workers knob: 0 means GOMAXPROCS.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // maxSamples returns the effective budget guard.

@@ -81,13 +81,12 @@ type Result struct {
 type Arena struct {
 	med    [][]float64 // reps × K replicate statistics (rows into medBuf)
 	medBuf []float64
-	zs     []float64   // per-interval medians
-	col    []float64   // reps-length median scratch column
-	keep   []bool      // sieve keep mask
-	order  []int       // removal ordering / heavy-index scratch
-	reprng []rng.RNG   // per-replicate RNG structs, re-split every round
-	jobs   []replicate // per-replicate fork bindings
-	mark   int64       // oracle draw count at the last stage boundary (took)
+	zs     []float64       // per-interval medians
+	col    []float64       // reps-length median scratch column
+	keep   []bool          // sieve keep mask
+	order  []int           // removal ordering / heavy-index scratch
+	reps   oracle.Replicas // sieve replicate clones and RNG streams
+	mark   int64           // oracle draw count at the last stage boundary (took)
 
 	// Observability state of the in-flight TestContext call. A nil ob is
 	// the zero-overhead fast path: no events, no clock reads, no extra
@@ -131,13 +130,6 @@ func (t *obTally) batch(counts *oracle.Counts, cs oracle.CountStrategy) {
 	}
 }
 
-// replicate pairs a forked oracle with its private RNG stream for one
-// sieve batch.
-type replicate struct {
-	o oracle.Oracle
-	r *rng.RNG
-}
-
 // NewArena returns an empty Arena ready to thread through Test calls.
 func NewArena() *Arena { return &Arena{} }
 
@@ -172,14 +164,6 @@ func (a *Arena) grow(K, reps int) {
 		a.med = make([][]float64, reps)
 	}
 	a.med = a.med[:reps]
-	if cap(a.reprng) < reps {
-		a.reprng = make([]rng.RNG, reps)
-	}
-	a.reprng = a.reprng[:reps]
-	if cap(a.jobs) < reps {
-		a.jobs = make([]replicate, reps)
-	}
-	a.jobs = a.jobs[:reps]
 	for t := 0; t < reps; t++ {
 		// Zero-length rows with disjoint capacity windows: each replicate
 		// appends its K statistics into its own region, so the parallel

@@ -83,17 +83,12 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 
 	// The reps replicates per sieve decision are independent Poissonized
 	// batches (the median-amplification trick of §3.2.1), so they fan out
-	// across workers when the oracle supports cloning. Replay and
-	// Source-backed oracles cannot be cloned (their streams are inherently
-	// serial) and keep the exact legacy draw order. Determinism contract:
-	// each replicate's randomness is a sequential Split of r taken BEFORE
-	// any goroutine launches, so the decision and Trace are bit-identical
-	// for every Workers value.
-	workers := cfg.workers()
-	var forker oracle.Forker
-	if f, ok := o.(oracle.Forker); ok && reps > 1 && f.CanFork() {
-		forker = f
-	}
+	// across cfg.Workers when the oracle supports cloning (oracle.Replicas
+	// fixes every replicate's stream before any goroutine launches, so
+	// the decision and Trace are bit-identical for every Workers value).
+	// Replay and Source-backed oracles cannot be cloned and keep the
+	// exact legacy draw order, as does a single replicate.
+	fork := reps > 1 && oracle.CanForkAll(o)
 
 	// Resolve the count-synthesis strategy once against the parent oracle:
 	// forks preserve the CountDrawer capability (a Sampler forks to a
@@ -111,41 +106,26 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 	computeZs := func() ([]float64, error) {
 		g := domain()
 		med := a.med
-		jobs := a.jobs
-		w := 1
-		if forker != nil {
-			for t := range jobs {
-				// Re-split into the scratch RNG structs: stream-identical to
-				// a fresh Split, without the per-round allocations.
-				rt := &a.reprng[t]
-				r.SplitInto(rt)
-				jobs[t] = replicate{o: forker.Fork(rt), r: rt}
-			}
-			w = workers
-		}
 		// Per-worker padded tally slots, merged after the join, so no two
-		// workers tally into the same cache line.
+		// workers tally into the same cache line. Worker indices stay
+		// below reps.
 		var tallies []obTally
 		if a.ob != nil {
-			nt := max(1, min(w, reps))
-			if cap(a.obTallies) < nt {
-				a.obTallies = make([]obTally, nt)
+			if cap(a.obTallies) < reps {
+				a.obTallies = make([]obTally, reps)
 			}
-			tallies = a.obTallies[:nt]
+			tallies = a.obTallies[:reps]
 			clear(tallies)
 		}
-		nw, runErr := oracle.FanOut(ctx, reps, w, func(worker, t int) {
-			ot, rt := o, r
-			if forker != nil {
-				ot, rt = jobs[t].o, jobs[t].r
-			}
+		nw, runErr := a.reps.Run(ctx, r, reps, cfg.Workers, fork, func(worker, t int) {
+			ot, rt := a.reps.Side(t, 0)
 			counts := oracle.DrawCountsWith(ot, rt, mSieve, countStrat)
 			if tallies != nil {
 				tallies[worker].batch(counts, countStrat)
 			}
 			med[t] = chisq.ZPerIntervalInto(med[t][:0], counts, dhat, p, g, mSieve, tau)
 			counts.Release()
-		})
+		}, o)
 		a.obWorkers = nw
 		a.obRound = obTally{}
 		for _, t := range tallies {
@@ -153,15 +133,6 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 			a.obRound.sparse += t.sparse
 			a.obRound.exact += t.exact
 			a.obRound.closedForm += t.closedForm
-		}
-		if forker != nil {
-			// Fold the per-replicate draw counters back into the parent so
-			// Trace accounting stays exact — on the cancellation path too.
-			var drawn int64
-			for t := range jobs {
-				drawn += jobs[t].o.Samples()
-			}
-			forker.Absorb(drawn)
 		}
 		if runErr != nil {
 			return nil, runErr

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/baselines"
 	"repro/internal/dist"
+	"repro/internal/oracle"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -49,13 +47,10 @@ func (rr RateResult) String() string {
 // deriving every trial's randomness (instance, sampler, and tester
 // streams) from sequential Splits of r BEFORE the parallel phase. Tester
 // values must be stateless across Run calls (all implementations in
-// baselines are). A cancelled ctx stops claiming new trials, aborts
+// baselines are). A cancelled ctx stops starting new trials, aborts
 // in-flight ones at their testers' next context check, and returns
 // ctx.Err(); nil means context.Background().
 func AcceptRate(ctx context.Context, tester baselines.Tester, inst Instance, k int, eps float64, trials int, r *rng.RNG) (RateResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	type trial struct {
 		d         dist.Distribution
 		sampleRNG *rng.RNG
@@ -65,41 +60,29 @@ func AcceptRate(ctx context.Context, tester baselines.Tester, inst Instance, k i
 	for i := range jobs {
 		jobs[i] = trial{d: inst(r), sampleRNG: r.Split(), testerRNG: r.Split()}
 	}
+	return trialRate(ctx, trials, func(ctx context.Context, i int) (bool, int64, error) {
+		s := samplerFor(jobs[i].d, jobs[i].sampleRNG)
+		dec, err := tester.Run(ctx, s, jobs[i].testerRNG, k, eps)
+		return dec.Accept, dec.Samples, err
+	})
+}
 
+// trialRate runs the pre-derived trials [0, trials) on oracle.FanOut at
+// full width and reduces them to an accept rate with its Wilson 95%
+// interval. run must touch only trial i's state. The first failed trial
+// (in trial order) fails the estimate; a done ctx returns ctx.Err().
+func trialRate(ctx context.Context, trials int, run func(ctx context.Context, i int) (accept bool, samples int64, err error)) (RateResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	accepts := make([]bool, trials)
 	samples := make([]int64, trials)
 	errs := make([]error, trials)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > trials {
-		workers = trials
-	}
-	var wg sync.WaitGroup
-	next := int64(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= trials || ctx.Err() != nil {
-					return
-				}
-				s := samplerFor(jobs[i].d, jobs[i].sampleRNG)
-				dec, err := tester.Run(ctx, s, jobs[i].testerRNG, k, eps)
-				if err != nil {
-					errs[i] = err
-					continue
-				}
-				accepts[i] = dec.Accept
-				samples[i] = dec.Samples
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if _, err := oracle.FanOut(ctx, trials, 0, func(_, i int) {
+		accepts[i], samples[i], errs[i] = run(ctx, i)
+	}); err != nil {
 		return RateResult{}, err
 	}
-
 	acceptCount := 0
 	var totalSamples int64
 	for i := 0; i < trials; i++ {

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -55,24 +56,27 @@ type Forker interface {
 	Absorb(drawn int64)
 }
 
-// FanOut runs fn(worker, i) for every replicate i in [0, reps): serially
-// on the calling goroutine (worker 0) when min(workers, reps) <= 1, and
+// FanOut runs fn(worker, i) for every replicate i in [0, reps) on
+// w = min(workers, reps) workers, where workers <= 0 means GOMAXPROCS:
+// serially on the calling goroutine (worker 0) when w <= 1, and
 // otherwise on goroutines that each own a contiguous range of ⌈reps/w⌉
 // replicates — worker i gets [i·chunk, (i+1)·chunk). Contiguous ranges
 // need no shared claim counter and keep adjacent replicates (adjacent
 // rows of a caller's statistic matrix) on one worker. The schedule is a
-// pure function of (reps, workers); determinism is the caller's part:
-// every replicate's randomness must be split (and its oracles forked)
-// sequentially BEFORE the call, and fn may only write state owned by its
-// replicate or its worker index. ctx is checked before every replicate;
-// replicates already running finish first. FanOut returns the number of
-// workers actually used — with reps not a multiple of w the trailing
-// chunks are empty (reps=5, w=4 → chunk 2 → 3 goroutines) — and
-// ctx.Err() when a check found the context done. Worker indices are
-// always below min(workers, reps), so callers may size per-worker
-// scratch by that bound. It serves ADK's median-amplified sieve
-// (core) and the DKN'17 majority vote (closeness).
+// pure function of (reps, w); determinism is the caller's part: every
+// replicate's randomness must be fixed (see Replicas) BEFORE the call,
+// and fn may only write state owned by its replicate or its worker
+// index. ctx is checked before every replicate; replicates already
+// running finish first. FanOut returns the number of workers actually
+// used — with reps not a multiple of w the trailing chunks are empty
+// (reps=5, w=4 → chunk 2 → 3 goroutines) — and ctx.Err() when a check
+// found the context done. Worker indices are always below reps, so
+// callers may size per-worker scratch by it. It serves Replicas and the
+// experiment harness's independent trials.
 func FanOut(ctx context.Context, reps, workers int, fn func(worker, i int)) (int, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	w := min(workers, reps)
 	if w <= 1 {
 		for i := 0; i < reps; i++ {
@@ -101,6 +105,93 @@ func FanOut(ctx context.Context, reps, workers int, fn func(worker, i int)) (int
 	}
 	wg.Wait()
 	return nw, ctx.Err()
+}
+
+// Replicas runs independent replicates of a randomized statistic over
+// one or more parent oracles (the sides) — ADK's median-amplified sieve
+// batches in core, the DKN'17 majority vote in closeness — and holds the
+// per-replicate clones and RNG streams as reusable scratch. The zero
+// value is ready to use; like the arenas that embed it, a Replicas is
+// not safe for concurrent Run calls.
+type Replicas struct {
+	rngs  []rng.RNG // reps × sides split streams, replicate-major
+	forks []Oracle  // the clones drawing from rngs, same layout
+	sides []Oracle  // the current Run's parents
+	r     *rng.RNG  // the current Run's RNG (non-fork path)
+	fork  bool
+}
+
+// CanForkAll reports whether every oracle can clone (oracle.Forker with
+// CanFork() true) — the precondition of a forked Replicas run.
+func CanForkAll(os ...Oracle) bool {
+	for _, o := range os {
+		if f, ok := o.(Forker); !ok || !f.CanFork() {
+			return false
+		}
+	}
+	return true
+}
+
+// Run runs fn(worker, i) for every replicate i in [0, reps); fn reaches
+// replicate i's oracle and RNG for side s through Side(i, s).
+//
+// With fork set (every side must satisfy CanForkAll), Run splits r
+// replicate-major — replicate 0's sides in order, then replicate 1's —
+// and forks each side onto its split stream, all before any goroutine
+// starts, then fans fn out on FanOut(ctx, reps, workers, ·). The
+// verdict built from the replicates is therefore bit-identical at every
+// worker count. Clone draws are absorbed into the parents before Run
+// returns, on the cancellation path too, so Samples() accounting stays
+// exact. Without fork, every replicate runs serially on the calling
+// goroutine, drawing from the parents themselves and from r, in
+// replicate order (replay streams are inherently serial).
+//
+// Run returns FanOut's worker count and context error.
+func (rp *Replicas) Run(ctx context.Context, r *rng.RNG, reps, workers int, fork bool, fn func(worker, i int), sides ...Oracle) (int, error) {
+	rp.sides = append(rp.sides[:0], sides...)
+	rp.r, rp.fork = r, fork
+	// The scratch outlives the run; drop its oracle references so a
+	// reused arena does not pin the last run's sources.
+	defer func() {
+		clear(rp.sides)
+		rp.r = nil
+	}()
+	if !fork {
+		return FanOut(ctx, reps, 1, fn)
+	}
+	S := len(sides)
+	if cap(rp.rngs) < reps*S {
+		rp.rngs = make([]rng.RNG, reps*S)
+		rp.forks = make([]Oracle, reps*S)
+	}
+	rp.rngs, rp.forks = rp.rngs[:reps*S], rp.forks[:reps*S]
+	for j := range rp.forks {
+		// Re-split into the scratch RNG structs: stream-identical to a
+		// fresh Split, without the per-run allocations.
+		r.SplitInto(&rp.rngs[j])
+		rp.forks[j] = sides[j%S].(Forker).Fork(&rp.rngs[j])
+	}
+	nw, err := FanOut(ctx, reps, workers, fn)
+	for s, o := range sides {
+		var drawn int64
+		for j := s; j < len(rp.forks); j += S {
+			drawn += rp.forks[j].Samples()
+			rp.forks[j] = nil
+		}
+		o.(Forker).Absorb(drawn)
+	}
+	return nw, err
+}
+
+// Side returns replicate i's oracle and RNG for side s of the current
+// Run: its own clone and split stream on the fork path, the parent and
+// Run's r otherwise. It is safe to call from concurrent fn invocations.
+func (rp *Replicas) Side(i, s int) (Oracle, *rng.RNG) {
+	if !rp.fork {
+		return rp.sides[s], rp.r
+	}
+	j := i*len(rp.sides) + s
+	return rp.forks[j], &rp.rngs[j]
 }
 
 // DrawN draws m samples from o.

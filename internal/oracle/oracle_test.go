@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -229,12 +230,13 @@ func BenchmarkSamplerDrawHistogram(b *testing.B) {
 }
 
 // TestFanOutSchedule pins FanOut's schedule: every replicate runs exactly
-// once, on the worker owning its contiguous ⌈reps/w⌉ chunk, and the
-// reported worker count is the goroutines actually launched (trailing
-// empty chunks launch nothing).
+// once, on the worker owning its contiguous chunk, and the launched count
+// is the number of non-empty chunks. workers <= 0 means all cores, pinned
+// here at GOMAXPROCS = 4.
 func TestFanOutSchedule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for _, tc := range []struct{ reps, workers, launched int }{
-		{5, 1, 1}, {5, 0, 1}, {1, 4, 1}, {5, 4, 3}, {7, 3, 3}, {8, 8, 8}, {3, 16, 3},
+		{5, 1, 1}, {5, 0, 3}, {5, -1, 3}, {1, 4, 1}, {5, 4, 3}, {7, 3, 3}, {8, 8, 8}, {3, 16, 3}, {8, 0, 4},
 	} {
 		owner := make([]int, tc.reps)
 		runs := make([]int, tc.reps)
@@ -245,7 +247,11 @@ func TestFanOutSchedule(t *testing.T) {
 		if err != nil || nw != tc.launched {
 			t.Fatalf("reps=%d workers=%d: launched %d (err %v), want %d", tc.reps, tc.workers, nw, err, tc.launched)
 		}
-		w := max(1, min(tc.workers, tc.reps))
+		w := tc.workers
+		if w <= 0 {
+			w = 4
+		}
+		w = min(w, tc.reps)
 		chunk := (tc.reps + w - 1) / w
 		for i := range runs {
 			if runs[i] != 1 || owner[i] != i/chunk {

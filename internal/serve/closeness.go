@@ -65,7 +65,7 @@ func (s *Server) resolveCloseness(req *client.ClosenessRequest) (*runSpec, error
 		return nil, err
 	}
 	if req.Reps < 0 {
-		return nil, badReqf("reps = %d must be positive", req.Reps)
+		return nil, badReqf("reps = %d must not be negative", req.Reps)
 	}
 	seed := max(req.Seed, 1) // histtest.Options.Seed semantics
 	samplerSeed := max(req.SamplerSeed, 1)
@@ -96,7 +96,7 @@ func (s *Server) resolveCloseness(req *client.ClosenessRequest) (*runSpec, error
 		cfg = cfg.Scale(req.Scale)
 	}
 	cfg.CountStrategy = cs
-	if cfg.Workers, cfg.MaxSamples, sp.timeout, err = s.limits(req.Workers, cfg.MaxSamples, req.TimeoutMS); err != nil {
+	if cfg.Workers, cfg.MaxSamples, sp.timeout, err = s.limits(cfg.MaxSamples, req.TimeoutMS); err != nil {
 		return nil, err
 	}
 	cr.cfg = cfg

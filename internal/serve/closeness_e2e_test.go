@@ -99,10 +99,10 @@ func assertClosenessBitIdentical(t *testing.T, label string, got *client.Closene
 
 // TestClosenessSpecPairBitIdentical: a served spec-pair verdict matches a
 // direct in-process closeness.TestTwoSample with the server's seed
-// derivations — at every requested worker count, both count strategies,
-// and for both the same-distribution and the far pair.
+// derivations — at both derived within-run widths, both count
+// strategies, and for both the same-distribution and the far pair.
 func TestClosenessSpecPairBitIdentical(t *testing.T) {
-	_, _, c := newTestServer(t, noJanitor(serve.Config{Workers: 2, SieveWorkers: 8}))
+	servers := poolSizeClients(t, noJanitor(serve.Config{}))
 	ctx := context.Background()
 
 	for _, tc := range []struct {
@@ -130,11 +130,10 @@ func TestClosenessSpecPairBitIdentical(t *testing.T) {
 			if direct.Accept != tc.wantAccept {
 				t.Fatalf("%s/%q: direct accept = %v, want %v (%+v)", tc.name, cs, direct.Accept, tc.wantAccept, direct)
 			}
-			for _, workers := range []int{0, 1, 2, 4, 8} {
-				req.Workers = workers
+			for i, c := range servers {
 				res, err := c.Closeness(ctx, req)
 				if err != nil {
-					t.Fatalf("%s/%q workers=%d: %v", tc.name, cs, workers, err)
+					t.Fatalf("%s/%q server %d: %v", tc.name, cs, i, err)
 				}
 				assertClosenessBitIdentical(t, tc.name, res, direct)
 				if res.EventsA != 0 || res.EventsB != 0 {
@@ -147,9 +146,9 @@ func TestClosenessSpecPairBitIdentical(t *testing.T) {
 
 // TestClosenessReplayPairBitIdentical: recorded-dataset pairs run the
 // serial replay path; the verdict must match the direct run and be
-// independent of the requested worker count.
+// independent of the server's derived within-run width.
 func TestClosenessReplayPairBitIdentical(t *testing.T) {
-	_, _, c := newTestServer(t, noJanitor(serve.Config{Workers: 2, SieveWorkers: 8}))
+	servers := poolSizeClients(t, noJanitor(serve.Config{}))
 	ctx := context.Background()
 
 	spec := closeSpecA()
@@ -185,11 +184,10 @@ func TestClosenessReplayPairBitIdentical(t *testing.T) {
 	if !direct.Accept {
 		t.Fatalf("same-distribution replay pair rejected: %+v", direct)
 	}
-	for _, workers := range []int{0, 4} {
-		req.Workers = workers
+	for i, c := range servers {
 		res, err := c.Closeness(ctx, req)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("server %d: %v", i, err)
 		}
 		assertClosenessBitIdentical(t, "replay", res, direct)
 	}
@@ -264,7 +262,7 @@ func TestClosenessServedMatchesLibrary(t *testing.T) {
 // replays with the server's documented salts: side A seed^StreamShuffleSalt
 // (the one-sample convention), side B seed^ClosenessShuffleSaltB.
 func TestClosenessStreamPairBitIdentical(t *testing.T) {
-	_, _, c := newTestServer(t, noJanitor(serve.Config{Workers: 2, SieveWorkers: 8}))
+	_, _, c := newTestServer(t, noJanitor(serve.Config{Workers: 2}))
 	ctx := context.Background()
 
 	n, k, eps := 4096, 4, 0.4
@@ -319,16 +317,13 @@ func TestClosenessStreamPairBitIdentical(t *testing.T) {
 	if !direct.Accept {
 		t.Fatalf("same-distribution stream pair rejected: %+v", direct)
 	}
-	for _, workers := range []int{0, 4} {
-		req.Workers = workers
-		res, err := c.Closeness(ctx, req)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		assertClosenessBitIdentical(t, "stream", res, direct)
-		if res.EventsA != int64(len(eventsA)) || res.EventsB != int64(len(eventsB)) {
-			t.Fatalf("window sizes %d/%d, want %d/%d", res.EventsA, res.EventsB, len(eventsA), len(eventsB))
-		}
+	res, err := c.Closeness(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertClosenessBitIdentical(t, "stream", res, direct)
+	if res.EventsA != int64(len(eventsA)) || res.EventsB != int64(len(eventsB)) {
+		t.Fatalf("window sizes %d/%d, want %d/%d", res.EventsA, res.EventsB, len(eventsA), len(eventsB))
 	}
 }
 

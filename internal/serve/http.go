@@ -152,8 +152,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.failRequest(w, badReqf("empty batch"))
 		return
 	}
-	if len(batch.Requests) > s.cfg.MaxBatch {
-		s.failRequest(w, badReqf("batch of %d exceeds the limit %d", len(batch.Requests), s.cfg.MaxBatch))
+	// A batch is admitted whole or not at all, so one larger than the
+	// queue could never be admitted: that is the client's error, not a
+	// retryable overload.
+	if len(batch.Requests) > s.cfg.QueueDepth {
+		s.failRequest(w, badReqf("batch of %d exceeds the queue depth %d", len(batch.Requests), s.cfg.QueueDepth))
 		return
 	}
 	specs := make([]*runSpec, len(batch.Requests))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -39,6 +40,23 @@ func fastReq() client.TestRequest {
 }
 
 func ptr[T any](v T) *T { return &v }
+
+// poolSizeClients starts one server (cfg with Workers set) per pool size
+// in {1, GOMAXPROCS} while GOMAXPROCS is raised to 4: pool 1 derives the
+// within-run width 4, the default pool width 1, so both sides of the
+// width choice run on any runner. A server fixes its width in New, so
+// the servers keep it after GOMAXPROCS is restored.
+func poolSizeClients(t *testing.T, cfg serve.Config) []*client.Client {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var cs []*client.Client
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		cfg.Workers = workers
+		_, _, c := newTestServer(t, cfg)
+		cs = append(cs, c)
+	}
+	return cs
+}
 
 // newTestServer starts a Server (draining it at cleanup) behind an
 // httptest front end and returns the typed client pointed at it.
@@ -137,32 +155,31 @@ func assertBitIdentical(t *testing.T, got *client.TestResult, want *core.Result,
 
 // TestServedBitIdenticalToDirectSpec is acceptance criterion (a) for the
 // sampler-spec path: the full wire Trace — final statistics included —
-// must match a direct core.Test call bit for bit, across seeds and
-// within-request worker counts.
+// must match a direct core.Test call bit for bit, across seeds and the
+// server's derived within-run widths (the fan-out must not change the
+// verdict).
 func TestServedBitIdenticalToDirectSpec(t *testing.T) {
-	_, _, c := newTestServer(t, serve.Config{Workers: 2, SieveWorkers: 4})
-	for _, mut := range []func(*client.TestRequest){
-		func(r *client.TestRequest) {},
-		func(r *client.TestRequest) { r.Seed = 99 },
-		func(r *client.TestRequest) { r.SamplerSeed = 3; r.Eps = 0.7 },
-		func(r *client.TestRequest) { r.Workers = 4 }, // fan-out must not change the verdict
-		func(r *client.TestRequest) { r.CountStrategy = "exact" },
-		func(r *client.TestRequest) { r.CountStrategy = "closed-form" },
-		func(r *client.TestRequest) { r.CountStrategy = "closed-form"; r.Workers = 4 },
-		func(r *client.TestRequest) { r.Engine = "adk" }, // explicit default engine
-		func(r *client.TestRequest) { r.Engine = "cdkl22" },
-		func(r *client.TestRequest) { r.Engine = "cdkl22"; r.Seed = 99 },
-		func(r *client.TestRequest) { r.Engine = "cdkl22"; r.Workers = 4 }, // trivially worker-independent
-		func(r *client.TestRequest) { r.Engine = "cdkl22"; r.CountStrategy = "closed-form" },
-	} {
-		req := fastReq()
-		mut(&req)
-		res, err := c.Test(context.Background(), req)
-		if err != nil {
-			t.Fatalf("served request failed: %v", err)
+	for i, c := range poolSizeClients(t, serve.Config{}) {
+		for _, mut := range []func(*client.TestRequest){
+			func(r *client.TestRequest) {},
+			func(r *client.TestRequest) { r.Seed = 99 },
+			func(r *client.TestRequest) { r.SamplerSeed = 3; r.Eps = 0.7 },
+			func(r *client.TestRequest) { r.CountStrategy = "exact" },
+			func(r *client.TestRequest) { r.CountStrategy = "closed-form" },
+			func(r *client.TestRequest) { r.Engine = "adk" }, // explicit default engine
+			func(r *client.TestRequest) { r.Engine = "cdkl22" },
+			func(r *client.TestRequest) { r.Engine = "cdkl22"; r.Seed = 99 },
+			func(r *client.TestRequest) { r.Engine = "cdkl22"; r.CountStrategy = "closed-form" },
+		} {
+			req := fastReq()
+			mut(&req)
+			res, err := c.Test(context.Background(), req)
+			if err != nil {
+				t.Fatalf("server %d: served request failed: %v", i, err)
+			}
+			direct, directSamples := directSpecRun(t, req)
+			assertBitIdentical(t, res, direct, directSamples)
 		}
-		direct, directSamples := directSpecRun(t, req)
-		assertBitIdentical(t, res, direct, directSamples)
 	}
 }
 
@@ -530,11 +547,38 @@ func TestStreamBatch(t *testing.T) {
 	}
 }
 
-// TestStreamBatchOverloaded: a batch larger than the queue is pushed
-// back atomically with 429 — no partial admission.
+// TestStreamBatchOverloaded: a batch that fits the queue but not its
+// free slots is pushed back atomically with 429 — no partial admission.
 func TestStreamBatchOverloaded(t *testing.T) {
-	_, hs, _ := newTestServer(t, serve.Config{Workers: 1, QueueDepth: 2})
-	reqs := client.BatchRequest{Requests: []client.TestRequest{fastReq(), fastReq(), fastReq()}}
+	_, hs, _ := newTestServer(t, serve.Config{
+		Workers: 1, QueueDepth: 2,
+		DefaultTimeout: raceScale * 30 * time.Second,
+	})
+
+	// Occupy the worker and one of the two queue slots; the occupants are
+	// cancelled (client disconnect) once the batch has been refused.
+	ctx, cancel := context.WithCancel(context.Background())
+	slow, _ := json.Marshal(client.TestRequest{Spec: ptr(fastSpec()), K: 8, Eps: 0.3}) // ≈1.2 s serial
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			req, _ := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/v1/test", strings.NewReader(string(slow)))
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		// Give occupant i time to be admitted before the next submission,
+		// so worker + queue slot are deterministically occupied.
+		time.Sleep(150 * time.Millisecond)
+	}
+
+	reqs := client.BatchRequest{Requests: []client.TestRequest{fastReq(), fastReq()}}
 	body, _ := json.Marshal(reqs)
 	resp, err := http.Post(hs.URL+"/v1/test/stream", "application/json", strings.NewReader(string(body)))
 	if err != nil {
@@ -542,7 +586,56 @@ func TestStreamBatchOverloaded(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("expected 429 for an oversized batch, got %d", resp.StatusCode)
+		t.Fatalf("expected 429 for a batch beyond the free queue slots, got %d", resp.StatusCode)
+	}
+}
+
+// TestStreamBatchLargerThanQueue: a batch that could never be admitted
+// whole — more sub-requests than the queue depth — is the client's
+// error, answered at once with 400 naming the depth, not a 429 the
+// typed client retries until it gives up.
+func TestStreamBatchLargerThanQueue(t *testing.T) {
+	_, _, c := newTestServer(t, serve.Config{Workers: 2}) // queue depth 2×Workers = 4
+	reqs := make([]client.TestRequest, 5)
+	for i := range reqs {
+		reqs[i] = fastReq()
+	}
+	_, err := c.TestBatch(context.Background(), reqs)
+	apiErr, ok := err.(*client.APIError)
+	if !ok {
+		t.Fatalf("expected an APIError, got %v", err)
+	}
+	if apiErr.Status != http.StatusBadRequest || apiErr.Code != client.ErrCodeBadRequest || !strings.Contains(apiErr.Message, "queue depth 4") {
+		t.Fatalf("oversized batch: %d %s %q, want 400 bad_request naming queue depth 4", apiErr.Status, apiErr.Code, apiErr.Message)
+	}
+}
+
+// TestWorkersFieldRejected: the within-run width is the server's
+// decision, not the request's. A body that still carries "workers" is
+// an unknown field on every run endpoint: 400 bad_request.
+func TestWorkersFieldRejected(t *testing.T) {
+	_, hs, c := newTestServer(t, noJanitor(serve.Config{Workers: 1}))
+	info, err := c.CreateStream(context.Background(), client.StreamSpec{N: 64, K: 2, Eps: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := `{"n":64,"cuts":[32],"masses":[0.5,0.5]}`
+	for path, body := range map[string]string{
+		"/v1/test":                         `{"spec":` + spec + `,"k":2,"eps":0.5,"workers":4}`,
+		"/v1/test/stream":                  `{"requests":[{"spec":` + spec + `,"k":2,"eps":0.5,"workers":4}]}`,
+		"/v1/closeness":                    `{"a":{"spec":` + spec + `},"b":{"spec":` + spec + `},"k":2,"eps":0.5,"workers":4}`,
+		"/v1/streams/" + info.ID + "/test": `{"workers":4}`,
+	} {
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var wire client.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&wire)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || wire.Code != client.ErrCodeBadRequest {
+			t.Fatalf("%s: status %d code %q (decode err %v), want 400 %s", path, resp.StatusCode, wire.Code, err, client.ErrCodeBadRequest)
+		}
 	}
 }
 

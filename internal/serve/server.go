@@ -51,22 +51,6 @@ type Config struct {
 	MaxTimeout time.Duration
 	// RetryAfter is the hint returned with 429/503 responses. 0 means 1s.
 	RetryAfter time.Duration
-	// SieveWorkers caps the WITHIN-request sieve fan-out a request may ask
-	// for (TestRequest.Workers). Requests opt in per call (Workers > 1 in
-	// the request); this only bounds what they may ask for. Now that the
-	// sieve fan-out is de-contended (padded replicate rows, chunked
-	// assignment, per-worker tallies) the cap is purely a
-	// latency/throughput trade — results are bit-identical at every
-	// worker count. The default (0) divides the machine among the pool:
-	// max(1, GOMAXPROCS/Workers), so a saturated pool whose every
-	// request opts in runs at most ~GOMAXPROCS sieve goroutines instead
-	// of Workers×GOMAXPROCS. Set an explicit positive value to allow
-	// more (favoring single-request latency over aggregate throughput),
-	// 1 or a negative value to force every served sieve serial.
-	SieveWorkers int
-	// MaxBatch bounds the sub-requests of one /v1/test/stream call.
-	// 0 means 256.
-	MaxBatch int
 	// MaxBodyBytes bounds request bodies. 0 means 1<<26 (64 MiB, roomy
 	// enough for large replay datasets).
 	MaxBodyBytes int64
@@ -118,18 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.SieveWorkers == 0 {
-		// Default cap: effective Workers × SieveWorkers stays at
-		// GOMAXPROCS. Workers is already resolved above, so the division
-		// is against the real pool size.
-		c.SieveWorkers = runtime.GOMAXPROCS(0) / c.Workers
-	}
-	if c.SieveWorkers < 1 {
-		c.SieveWorkers = 1
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 1 << 26
@@ -210,6 +182,13 @@ type Server struct {
 	cfg  Config
 	jobs chan *job
 
+	// fanout is every run's within-run replicate width (core and
+	// closeness Config.Workers): the machine divided among the pool,
+	// max(1, GOMAXPROCS/Workers), so a saturated pool runs about
+	// GOMAXPROCS replicate goroutines in total. Verdicts are
+	// bit-identical at every width, so it is derived, not requested.
+	fanout int
+
 	// slots is the admission semaphore: one token per queueable request.
 	// Tokens are acquired non-blockingly at admission (failure → 429) and
 	// released when a worker dequeues the job, so at most QueueDepth
@@ -249,6 +228,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:        cfg,
 		jobs:       make(chan *job, cfg.QueueDepth),
+		fanout:     max(1, runtime.GOMAXPROCS(0)/cfg.Workers),
 		slots:      make(chan struct{}, cfg.QueueDepth),
 		draining:   make(chan struct{}),
 		hardStop:   hardStop,

@@ -82,7 +82,7 @@ func (s *Server) resolve(req *client.TestRequest) (*runSpec, error) {
 	// tester (oracle.EffectiveStrategy) — no error, same verdict law.
 	cfg.CountStrategy = cs
 	cfg.Engine = req.Engine
-	if cfg.Workers, cfg.MaxSamples, sp.timeout, err = s.limits(req.Workers, cfg.MaxSamples, req.TimeoutMS); err != nil {
+	if cfg.Workers, cfg.MaxSamples, sp.timeout, err = s.limits(cfg.MaxSamples, req.TimeoutMS); err != nil {
 		return nil, err
 	}
 	sp.cfg = cfg
@@ -201,23 +201,17 @@ func streamReplay(st *stream.Stream, shuffleSeed uint64) (oracle.Oracle, sourceI
 }
 
 // limits applies the serving limits every run gets, whatever its
-// endpoint. workers is the requested within-run fan-out: serial unless
-// the request asks for more, and never above the deployment's
-// SieveWorkers (withDefaults keeps that >= 1). Clamping never changes a
-// verdict — the fan-out is a pure throughput knob — so clamped runs
-// still match direct ones. maxSamples is the tester's own budget guard,
-// replaced by MaxSamplesPerRun when the deployment sets one. timeoutMS
+// endpoint. The within-run fan-out it returns is the server's derived
+// width (Server.fanout); the width never changes a verdict, so served
+// runs still match direct ones. maxSamples is the tester's own budget
+// guard, replaced by MaxSamplesPerRun when the deployment sets one. timeoutMS
 // is the requested deadline: 0 takes DefaultTimeout, anything else is
 // clamped to MaxTimeout BEFORE the conversion to a Duration, which
 // overflows (and would wrap negative, i.e. to "no deadline") for
 // timeoutMS >= 2⁶³/10⁶.
-func (s *Server) limits(workers int, maxSamples, timeoutMS int64) (int, int64, time.Duration, error) {
+func (s *Server) limits(maxSamples, timeoutMS int64) (int, int64, time.Duration, error) {
 	if timeoutMS < 0 {
 		return 0, 0, 0, badReqf("timeout_ms = %d must not be negative", timeoutMS)
-	}
-	w := 1
-	if workers > 1 {
-		w = min(workers, s.cfg.SieveWorkers)
 	}
 	if s.cfg.MaxSamplesPerRun > 0 {
 		maxSamples = s.cfg.MaxSamplesPerRun
@@ -231,7 +225,7 @@ func (s *Server) limits(workers int, maxSamples, timeoutMS int64) (int, int64, t
 	default:
 		timeout = time.Duration(timeoutMS) * time.Millisecond
 	}
-	return w, maxSamples, timeout, nil
+	return s.fanout, maxSamples, timeout, nil
 }
 
 // buildSampler validates a wire spec and builds the alias-table sampler

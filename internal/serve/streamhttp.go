@@ -243,7 +243,7 @@ func (s *Server) handleStreamTest(w http.ResponseWriter, r *http.Request) {
 		s.failRequest(w, badReqf("decoding request: %v", err))
 		return
 	}
-	sp, snap, err := s.buildStreamRunSpec(st, req.Seed, req.Workers, req.TimeoutMS)
+	sp, snap, err := s.buildStreamRunSpec(st, req.Seed, req.TimeoutMS)
 	if err != nil {
 		s.failRequest(w, err)
 		return
@@ -277,7 +277,7 @@ func (s *Server) handleStreamTest(w http.ResponseWriter, r *http.Request) {
 // same as every other run's, so a stream test is an ordinary run whose
 // oracle happens to replay accumulated counts. seed overrides the
 // stream's test seed when non-zero.
-func (s *Server) buildStreamRunSpec(st *stream.Stream, seed uint64, workers int, timeoutMS int64) (*runSpec, stream.SnapshotStats, error) {
+func (s *Server) buildStreamRunSpec(st *stream.Stream, seed uint64, timeoutMS int64) (*runSpec, stream.SnapshotStats, error) {
 	params := st.Cfg.Params
 	if seed == 0 {
 		seed = params.Seed
@@ -288,7 +288,7 @@ func (s *Server) buildStreamRunSpec(st *stream.Stream, seed uint64, workers int,
 	}
 	sp := &runSpec{k: params.K, eps: params.Eps, seed: seed}
 	var err error
-	if cfg.Workers, cfg.MaxSamples, sp.timeout, err = s.limits(workers, cfg.MaxSamples, timeoutMS); err != nil {
+	if cfg.Workers, cfg.MaxSamples, sp.timeout, err = s.limits(cfg.MaxSamples, timeoutMS); err != nil {
 		return nil, stream.SnapshotStats{}, err
 	}
 	sp.cfg = cfg
@@ -382,7 +382,7 @@ func (s *Server) janitorTick(now time.Time) {
 // scheduleRetest submits one automatic re-test for the stream. The
 // verdict lands in the stream's last-test record; nobody blocks on it.
 func (s *Server) scheduleRetest(st *stream.Stream) {
-	sp, snap, _ := s.buildStreamRunSpec(st, 0, 0, 0) // no request limits to violate
+	sp, snap, _ := s.buildStreamRunSpec(st, 0, 0) // no request limits to violate
 	j, err := s.submit(context.Background(), sp, 0)
 	if err != nil {
 		return // queue full or draining: skip this beat, the clock fires again

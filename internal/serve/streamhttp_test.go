@@ -314,29 +314,31 @@ func TestStreamPeriodicRetest(t *testing.T) {
 	t.Fatal("periodic re-test never produced a verdict")
 }
 
-// TestSieveWorkerDefaultClamped pins the oversubscription fix: when
-// SieveWorkers defaults, the aggregate fan-out Workers × SieveWorkers
-// stays at GOMAXPROCS instead of Workers × GOMAXPROCS; explicit
-// settings are respected.
-func TestSieveWorkerDefaultClamped(t *testing.T) {
-	procs := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		workers, sieve, want int
-	}{
-		{4, 0, max(1, procs/4)}, // default divides the machine among the pool
-		{1, 0, max(1, procs)},   // one worker gets the whole machine
-		{2, 16, 16},             // explicit values are not clamped
-		{2, -1, 1},              // negative forces serial sieves
-	}
-	for _, tc := range cases {
-		cfg := serve.Config{Workers: tc.workers, SieveWorkers: tc.sieve}.WithDefaults()
-		if cfg.SieveWorkers != tc.want {
-			t.Fatalf("Workers=%d SieveWorkers=%d: resolved to %d, want %d",
-				tc.workers, tc.sieve, cfg.SieveWorkers, tc.want)
+// TestServedFanoutDerived pins the within-run width every served run
+// gets, one-sample and closeness alike: the machine divided among the
+// pool, max(1, GOMAXPROCS/Workers), so a saturated pool runs about
+// GOMAXPROCS replicate goroutines. The default pool (Workers =
+// GOMAXPROCS) serves every run serially.
+func TestServedFanoutDerived(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	spec := closeSpecA()
+	for _, tc := range []struct{ workers, want int }{
+		{0, 1}, {1, 4}, {2, 2}, {3, 1}, {4, 1}, {8, 1},
+	} {
+		s := serve.New(noJanitor(serve.Config{Workers: tc.workers}))
+		one, err := s.RunWorkers(&client.TestRequest{Spec: &spec, K: 4, Eps: 0.4})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if tc.sieve == 0 && cfg.Workers*cfg.SieveWorkers > max(procs, cfg.Workers) {
-			t.Fatalf("Workers=%d: default fan-out %d×%d oversubscribes GOMAXPROCS=%d",
-				tc.workers, cfg.Workers, cfg.SieveWorkers, procs)
+		two, err := s.ClosenessRunWorkers(&client.ClosenessRequest{
+			A: client.ClosenessSide{Spec: &spec}, B: client.ClosenessSide{Spec: &spec}, K: 4, Eps: 0.4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+		if one != tc.want || two != tc.want {
+			t.Fatalf("Workers=%d at GOMAXPROCS=4: test width %d, closeness width %d, want %d", tc.workers, one, two, tc.want)
 		}
 	}
 }
