@@ -58,7 +58,7 @@ conformance:
 	$(GO) test ./internal/core/ -run 'TestConformance' -conformance-engines=$(CONFORMANCE_ENGINES) -count=1
 
 conformance-list:
-	$(GO) run ./cmd/histbench -conformance-list .
+	$(GO) run ./cmd/histbench -gate conformance .
 
 # Orphan-package gate: every non-main package under internal/ must be
 # imported by non-test code outside itself. `go list` reports only
@@ -107,12 +107,12 @@ bench:
 # Regenerate the recorded hot-path perf numbers (BENCH_hotpath.json).
 # The pre-pooling baseline embedded in cmd/histbench is preserved.
 bench-json:
-	$(GO) run ./cmd/histbench -hotpath-json BENCH_hotpath.json
+	$(GO) run ./cmd/histbench -gate hotpath -write BENCH_hotpath.json
 
 # Regenerate the recorded streaming-ingestion throughput numbers
 # (BENCH_ingest.json).
 bench-ingest-json:
-	$(GO) run ./cmd/histbench -ingest-json BENCH_ingest.json
+	$(GO) run ./cmd/histbench -gate ingest -write BENCH_ingest.json
 
 # CI perf gate: re-measure the hot-path micro-benchmarks and fail when
 # allocs/op regressed more than 10% — or ns/op more than 15% — against
@@ -120,8 +120,8 @@ bench-ingest-json:
 # Then the ingest gate: events/s must stay within 30% of the committed
 # report and the 4-way soak above an absolute 1M events/s floor.
 bench-gate:
-	$(GO) run ./cmd/histbench -hotpath-gate BENCH_hotpath.json
-	$(GO) run ./cmd/histbench -ingest-gate BENCH_ingest.json
+	$(GO) run ./cmd/histbench -gate hotpath BENCH_hotpath.json
+	$(GO) run ./cmd/histbench -gate ingest BENCH_ingest.json
 
 # Short-mode ingest soak under the race detector: concurrent writers,
 # a racing snapshotter, and the conservation invariant (every
@@ -138,10 +138,8 @@ experiments-quick:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/modelselection
 	$(GO) run ./examples/selectivity
 	$(GO) run ./examples/streamcheck
-	$(GO) run ./examples/shapeaudit
 	$(GO) run ./examples/abcompare
 
 # Fuzz pass over the structural fuzz targets. FUZZTIME is per target:
@@ -175,10 +173,10 @@ $(COVERPROFILE): FORCE
 	$(GO) test -count=1 -coverprofile=$(COVERPROFILE) ./...
 
 cover: $(COVERPROFILE)
-	$(GO) run ./cmd/histbench -cover-profile $(COVERPROFILE) -cover-gate COVERAGE.json
+	$(GO) run ./cmd/histbench -cover-profile $(COVERPROFILE) -gate cover COVERAGE.json
 
 cover-json: $(COVERPROFILE)
-	$(GO) run ./cmd/histbench -cover-profile $(COVERPROFILE) -cover-json COVERAGE.json
+	$(GO) run ./cmd/histbench -cover-profile $(COVERPROFILE) -gate cover -write COVERAGE.json
 
 FORCE:
 

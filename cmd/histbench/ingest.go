@@ -1,10 +1,8 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"testing"
 
@@ -52,16 +50,6 @@ func measureIngest(stderr io.Writer) cli.IngestReport {
 				benchhot.IngestDecodeNDJSON),
 		},
 	}
-}
-
-func writeIngestJSON(path string, stderr io.Writer) error {
-	rep := measureIngest(stderr)
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	return os.WriteFile(path, buf, 0o644)
 }
 
 // gateIngest is the CI throughput gate: re-measure the ingest soaks and

@@ -1,4 +1,4 @@
-// Command histbench regenerates the experiment tables E1–E14 (see
+// Command histbench regenerates the experiment tables E1–E15 (see
 // DESIGN.md for the index mapping each to a paper claim).
 //
 // Usage:
@@ -10,28 +10,32 @@
 //	histbench -run E6 -csv results/
 //	histbench -run E7 -cpuprofile cpu.out -memprofile mem.out
 //	histbench -run E6 -trace-json trace.jsonl
-//	histbench -hotpath-json BENCH_hotpath.json
-//	histbench -hotpath-gate BENCH_hotpath.json
-//	histbench -ingest-json BENCH_ingest.json
-//	histbench -ingest-gate BENCH_ingest.json
-//	histbench -cover-profile cover.out -cover-json COVERAGE.json
-//	histbench -cover-profile cover.out -cover-gate COVERAGE.json
-//	histbench -conformance-list .
+//	histbench -gate hotpath BENCH_hotpath.json
+//	histbench -gate hotpath -write BENCH_hotpath.json
+//	histbench -gate ingest BENCH_ingest.json
+//	histbench -cover-profile cover.out -gate cover COVERAGE.json
+//	histbench -cover-profile cover.out -gate cover -write COVERAGE.json
+//	histbench -gate conformance .
 //
-// -hotpath-gate re-measures the hot-path micro-benchmarks and exits 1
-// when allocs/op regressed more than -hotpath-tolerance against the
-// committed report (the CI perf gate; see `make bench-gate`).
-// -ingest-gate does the same for the streaming-ingestion soaks,
-// gating events/s downward and holding the 4-way soak to an absolute
-// 1M events/s floor.
+// -gate NAME FILE runs one CI gate instead of the experiments and exits
+// 1 on a violation; with -write it regenerates the committed report
+// FILE instead of comparing against it.
 //
-// -cover-gate ratchets statement coverage against the committed
-// COVERAGE.json: a total or per-package drop beyond -cover-tolerance
-// (default 1pt) exits 1 (see `make cover`). -conformance-list diffs the
-// CONFORMANCE_ENGINES / CONFORMANCE_WORKLOADS declarations in the
-// Makefile and CI workflows against the in-code registries, so the
-// conformance battery cannot silently shrink when an engine or serve
-// workload is added (see `make conformance-list`).
+//   - hotpath re-measures the hot-path micro-benchmarks and fails when
+//     allocs/op regressed more than 10% or ns/op more than 15% against
+//     the committed report, comparing only entries with equal
+//     gomaxprocs (see `make bench-gate`).
+//   - ingest does the same for the streaming-ingestion soaks, gating
+//     events/s downward by 30% and holding the 4-way soak to an
+//     absolute 1M events/s floor.
+//   - cover ratchets the statement coverage of -cover-profile against
+//     the committed COVERAGE.json: a total or per-package drop beyond
+//     1pt fails (see `make cover`).
+//   - conformance diffs the CONFORMANCE_ENGINES / CONFORMANCE_WORKLOADS
+//     declarations in the Makefile and CI workflows under the repo root
+//     FILE against the in-code registries, so the conformance battery
+//     cannot silently shrink when an engine or serve workload is added
+//     (see `make conformance-list`).
 //
 // ^C (or SIGTERM) cancels the run: in-flight tester invocations abort at
 // their next context check, pooled buffers are released, and any partial
@@ -70,7 +74,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("histbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		runIDs     = fs.String("run", "all", "comma-separated experiment IDs (E1..E14) or 'all'")
+		runIDs     = fs.String("run", "all", "comma-separated experiment IDs (E1..E15) or 'all'")
 		quick      = fs.Bool("quick", false, "smaller sweeps and trial counts")
 		seed       = fs.Uint64("seed", 1, "random seed")
 		csvDir     = fs.String("csv", "", "also write each table as CSV into this directory")
@@ -79,16 +83,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		workers    = fs.Int("workers", 0, "cap concurrency (trial fan-out and sieve replicates); 0 = all cores")
 		cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memprofile = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
-		hotJSON    = fs.String("hotpath-json", "", "run the hot-path micro-benchmarks and write the results as JSON to this file (skips the experiments)")
-		hotGate    = fs.String("hotpath-gate", "", "re-run the hot-path micro-benchmarks and fail on an allocs/op regression against this committed report (skips the experiments)")
-		hotTol     = fs.Float64("hotpath-tolerance", 0.10, "allowed fractional allocs/op regression for -hotpath-gate")
-		ingJSON    = fs.String("ingest-json", "", "run the streaming-ingestion soak benchmarks and write the results as JSON to this file (skips the experiments)")
-		ingGate    = fs.String("ingest-gate", "", "re-run the ingestion soaks and fail on an events/s regression — or a 4-way soak under the 1M events/s floor — against this committed report (skips the experiments)")
-		coverProf  = fs.String("cover-profile", "", "a `go test -coverprofile` file to reduce; required by -cover-json and -cover-gate")
-		coverJSON  = fs.String("cover-json", "", "reduce -cover-profile to per-package statement coverage and write the COVERAGE.json baseline to this file (skips the experiments)")
-		coverGate  = fs.String("cover-gate", "", "ratchet -cover-profile against this committed COVERAGE.json and fail on a drop beyond -cover-tolerance (skips the experiments)")
-		coverTol   = fs.Float64("cover-tolerance", 1.0, "allowed statement-coverage drop for -cover-gate, in percentage points")
-		confList   = fs.String("conformance-list", "", "diff the CONFORMANCE_ENGINES/CONFORMANCE_WORKLOADS declarations under this repo root (Makefile + CI workflows) against the in-code registries and fail on drift (skips the experiments)")
+		gate       = fs.String("gate", "", "run one CI gate instead of the experiments: 'hotpath', 'ingest', 'cover' or 'conformance', against the FILE argument")
+		write      = fs.Bool("write", false, "with -gate, regenerate the committed report FILE instead of comparing against it")
+		coverProf  = fs.String("cover-profile", "", "the `go test -coverprofile` file -gate cover reduces")
 		countStrat = fs.String("count-strategy", "", "Poissonized count synthesis: 'exact' (default; bit-identical historical streams) or 'closed-form' (O(k+occupied) per batch on known samplers)")
 		engine     = fs.String("engine", "", "tester engine: 'adk' (default; the paper's Algorithm 1) or 'cdkl22' (the CDKL'22 near-optimal tester)")
 		traceJSON  = fs.String("trace-json", "", "stream per-run stage events as JSON lines to this file (also feeds the expvar counters)")
@@ -96,8 +93,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(stderr, "histbench: unexpected arguments: %v\n", fs.Args())
+	if *gate == "" && (fs.NArg() > 0 || *write || *coverProf != "") {
+		fmt.Fprintf(stderr, "histbench: FILE arguments, -write and -cover-profile need -gate (got %v)\n", args)
+		return 2
+	}
+	if *gate != "" && fs.NArg() != 1 {
+		fmt.Fprintf(stderr, "histbench: -gate %s needs exactly one FILE argument, got %v\n", *gate, fs.Args())
 		return 2
 	}
 
@@ -137,74 +138,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *hotJSON != "" {
-		if err := writeHotpathJSON(*hotJSON, stderr); err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *hotGate != "" {
-		violations, err := gateHotpath(*hotGate, *hotTol, stdout, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		if violations > 0 {
-			return 1
-		}
-		return 0
-	}
-	if *ingJSON != "" {
-		if err := writeIngestJSON(*ingJSON, stderr); err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		return 0
-	}
-	if *ingGate != "" {
-		violations, err := gateIngest(*ingGate, stdout, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		if violations > 0 {
-			return 1
-		}
-		return 0
-	}
-	if *coverJSON != "" || *coverGate != "" {
-		if *coverProf == "" {
-			fmt.Fprintln(stderr, "histbench: -cover-json/-cover-gate need -cover-profile (run `go test -coverprofile` first)")
-			return 2
-		}
-		if *coverJSON != "" {
-			if err := writeCoverageJSON(*coverProf, *coverJSON, stderr); err != nil {
-				fmt.Fprintf(stderr, "histbench: %v\n", err)
-				return 1
-			}
-			return 0
-		}
-		violations, err := gateCoverage(*coverProf, *coverGate, *coverTol, stdout, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		if violations > 0 {
-			return 1
-		}
-		return 0
-	}
-	if *confList != "" {
-		violations, err := gateConformanceLists(*confList, stdout, stderr)
-		if err != nil {
-			fmt.Fprintf(stderr, "histbench: %v\n", err)
-			return 1
-		}
-		if violations > 0 {
-			return 1
-		}
-		return 0
+	if *gate != "" {
+		return runGate(*gate, fs.Arg(0), *write, *coverProf, stdout, stderr)
 	}
 
 	if *list {

@@ -121,14 +121,74 @@ func TestQuickExperimentWithWorkersAndTrace(t *testing.T) {
 // tests cover the failure plumbing and the comparator is unit-tested in
 // internal/cli; `make bench-gate` exercises the full path.
 func TestHotpathGateBadInputs(t *testing.T) {
-	if code, _, errb := runCmd("-hotpath-gate", "no-such-file.json"); code != 1 || !strings.Contains(errb, "no-such-file.json") {
+	if code, _, errb := runCmd("-gate", "hotpath", "no-such-file.json"); code != 1 || !strings.Contains(errb, "no-such-file.json") {
 		t.Fatalf("missing report: code %d, stderr %q", code, errb)
 	}
 
 	bad := filepath.Join(t.TempDir(), "bad.json")
 	payload, _ := json.Marshal(cli.HotpathReport{Schema: "other/v0"})
 	os.WriteFile(bad, payload, 0o644)
-	if code, _, errb := runCmd("-hotpath-gate", bad); code != 1 || !strings.Contains(errb, "schema") {
+	if code, _, errb := runCmd("-gate", "hotpath", bad); code != 1 || !strings.Contains(errb, "schema") {
 		t.Fatalf("bad schema: code %d, stderr %q", code, errb)
+	}
+}
+
+// TestGateUsageErrors: a malformed -gate invocation is a usage error
+// (exit 2) that names the problem, before anything is measured.
+func TestGateUsageErrors(t *testing.T) {
+	cases := []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"unknown gate", []string{"-gate", "speed", "BENCH_hotpath.json"}, "unknown gate"},
+		{"no file", []string{"-gate", "hotpath"}, "exactly one FILE"},
+		{"two files", []string{"-gate", "hotpath", "a.json", "b.json"}, "exactly one FILE"},
+		{"write without gate", []string{"-write"}, "need -gate"},
+		{"cover without profile", []string{"-gate", "cover", "COVERAGE.json"}, "-cover-profile"},
+		{"profile without cover", []string{"-cover-profile", "cover.out", "-gate", "hotpath", "x.json"}, "-cover-profile"},
+		{"write conformance", []string{"-gate", "conformance", "-write", "."}, "no report"},
+	}
+	for _, tc := range cases {
+		code, _, errb := runCmd(tc.args...)
+		if code != 2 || !strings.Contains(errb, tc.want) {
+			t.Errorf("%s: run(%v) = %d, stderr %q; want 2 naming %q", tc.name, tc.args, code, errb, tc.want)
+		}
+	}
+}
+
+// TestCoverGate drives the coverage ratchet end to end on a small
+// profile: -write regenerates a baseline the same profile passes, and a
+// baseline inflated above the profile fails with the violation banner.
+func TestCoverGate(t *testing.T) {
+	dir := t.TempDir()
+	profile := filepath.Join(dir, "cover.out")
+	os.WriteFile(profile, []byte("mode: set\nrepro/internal/a/a.go:1.1,2.2 3 1\nrepro/internal/a/a.go:3.1,4.2 1 0\n"), 0o644)
+
+	baseline := filepath.Join(dir, "COVERAGE.json")
+	if code, _, errb := runCmd("-cover-profile", profile, "-gate", "cover", "-write", baseline); code != 0 {
+		t.Fatalf("-write: code %d, stderr %q", code, errb)
+	}
+	if code, out, errb := runCmd("-cover-profile", profile, "-gate", "cover", baseline); code != 0 || !strings.Contains(out, "coverage ratchet: OK") {
+		t.Fatalf("self-ratchet: code %d, stdout %q, stderr %q", code, out, errb)
+	}
+
+	inflated := filepath.Join(dir, "inflated.json")
+	payload, _ := json.Marshal(cli.CoverageReport{
+		Schema:   cli.CoverageSchema,
+		Total:    100,
+		Packages: map[string]float64{"repro/internal/a": 100},
+	})
+	os.WriteFile(inflated, payload, 0o644)
+	if code, _, errb := runCmd("-cover-profile", profile, "-gate", "cover", inflated); code != 1 || !strings.Contains(errb, "COVERAGE RATCHET VIOLATION") {
+		t.Fatalf("inflated baseline: code %d, stderr %q", code, errb)
+	}
+}
+
+// TestConformanceGate runs the list-drift gate over this repository.
+func TestConformanceGate(t *testing.T) {
+	code, out, errb := runCmd("-gate", "conformance", filepath.Join("..", ".."))
+	if code != 0 || !strings.Contains(out, "conformance lists: OK") {
+		t.Fatalf("code %d, stdout %q, stderr %q", code, out, errb)
 	}
 }

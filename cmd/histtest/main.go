@@ -1,14 +1,13 @@
 // Command histtest tests whether a dataset of integer values in [0, n)
 // looks like it was drawn from a k-histogram distribution, or is ε-far
-// from every such distribution. Further modes test monotonicity and
-// identity against a serialized reference histogram.
+// from every such distribution. A second mode tests identity against a
+// serialized reference histogram.
 //
 // Usage:
 //
 //	histtest -n 1024 -k 4 -eps 0.25 -file values.txt
 //	generate_values | histtest -n 1024 -k 4 -eps 0.25
 //	histtest -n 1024 -k 4 -eps 0.25 -demo far        # synthetic demo input
-//	histtest -n 1024 -mode monotone -dir dec -eps 0.3 -file values.txt
 //	histtest -n 1024 -mode identity -ref sketch.json -eps 0.3 -file values.txt
 //
 // The input is whitespace-separated integers. Use -required to print the
@@ -39,8 +38,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		n        = fs.Int("n", 0, "domain size (values are integers in [0, n))")
 		k        = fs.Int("k", 0, "histogram class parameter (mode=histogram)")
 		eps      = fs.Float64("eps", 0.25, "distance parameter ε")
-		mode     = fs.String("mode", "histogram", "what to test: 'histogram', 'monotone', or 'identity'")
-		dir      = fs.String("dir", "dec", "monotone direction: 'dec' or 'inc' (mode=monotone)")
+		mode     = fs.String("mode", "histogram", "what to test: 'histogram' or 'identity'")
 		ref      = fs.String("ref", "", "reference histogram JSON file (mode=identity)")
 		file     = fs.String("file", "", "input file (default: stdin)")
 		demo     = fs.String("demo", "", "generate synthetic input instead: 'hist' or 'far'")
@@ -94,14 +92,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "read %d values over [0,%d)\n", len(data), *n)
 			verdict, err = histtest.TestSamples(data, *n, *k, *eps, opt)
 		}
-	case "monotone":
-		decreasing := *dir != "inc"
-		what = "monotone (" + *dir + ")"
-		var data []int
-		data, err = cli.ReadValues(*file)
-		if err == nil {
-			verdict, err = testMonotoneSamples(data, *n, decreasing, *eps, opt)
-		}
 	case "identity":
 		if *ref == "" {
 			fmt.Fprintln(stderr, "histtest: -ref is required in identity mode")
@@ -141,16 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "REJECT: ε-far from %s (stage %s: %s; used %d samples)\n",
 		what, verdict.Stage, verdict.Detail, verdict.SamplesUsed)
 	return 3
-}
-
-// testMonotoneSamples adapts a finite dataset to the monotone tester's
-// source interface (cycling — adequate for large datasets).
-func testMonotoneSamples(data []int, n int, decreasing bool, eps float64, opt histtest.Options) (histtest.Verdict, error) {
-	src, err := cli.CyclingSource(data)
-	if err != nil {
-		return histtest.Verdict{}, err
-	}
-	return histtest.TestMonotone(src, n, decreasing, eps, opt)
 }
 
 // runDemo tests a synthetic source so the tool can be exercised without a

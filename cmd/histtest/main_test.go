@@ -106,6 +106,8 @@ func TestUsageErrors(t *testing.T) {
 		{"missing k", []string{"-n", "8"}, 2},
 		{"identity without ref", []string{"-n", "8", "-mode", "identity"}, 2},
 		{"unknown mode", []string{"-n", "8", "-mode", "weird"}, 1},
+		{"removed monotone mode", []string{"-n", "8", "-mode", "monotone"}, 1},
+		{"removed dir flag", []string{"-n", "8", "-k", "2", "-dir", "dec"}, 2},
 		{"unknown demo", []string{"-n", "8", "-k", "2", "-demo", "weird"}, 1},
 	}
 	for _, tc := range cases {

@@ -102,8 +102,7 @@ func ExampleHistogram_Modality() {
 	if err != nil {
 		panic(err)
 	}
-	d, _ := h.DistanceToUnimodal()
-	fmt.Printf("modality=%d unimodal-distance=%.2f\n", h.Modality(), d)
+	fmt.Printf("modality=%d\n", h.Modality())
 	// Output:
-	// modality=2 unimodal-distance=0.00
+	// modality=2
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/intervals"
 	"repro/internal/oracle"
 	"repro/internal/rng"
-	"repro/internal/shape"
 )
 
 // Histogram is a public handle on a piecewise-constant distribution over
@@ -133,32 +132,6 @@ func (h *Histogram) DistanceToClass(k int) (lower, upper float64, err error) {
 // distribution need": the curve drops to ~0 at h's true complexity.
 func (h *Histogram) DistanceCurve(kMax int) ([]float64, error) {
 	return histdp.DistanceCurve(h.pc, kMax, intervals.FullDomain(h.pc.N()))
-}
-
-// DistanceToMonotone returns the TV distance from h to the class of
-// monotone (non-increasing if decreasing, else non-decreasing) pmfs,
-// along with the projection.
-func (h *Histogram) DistanceToMonotone(decreasing bool) (float64, *Histogram) {
-	d, proj := shape.Monotone(h.pc, decreasing)
-	return d, &Histogram{pc: proj}
-}
-
-// DistanceToUnimodal returns the TV distance from h to the class of
-// single-peak pmfs, with the projection.
-func (h *Histogram) DistanceToUnimodal() (float64, *Histogram) {
-	d, proj, _ := shape.Unimodal(h.pc)
-	return d, &Histogram{pc: proj}
-}
-
-// DistanceToKModal returns the TV distance from h to the k-modal class in
-// the paper's counting (pmf changes direction at most k times), with the
-// projection.
-func (h *Histogram) DistanceToKModal(k int) (float64, *Histogram, error) {
-	d, proj, err := shape.KModal(h.pc, k)
-	if err != nil {
-		return 0, nil, err
-	}
-	return d, &Histogram{pc: proj}, nil
 }
 
 // TotalVariation returns the total-variation distance between two

@@ -30,7 +30,6 @@ import (
 	"repro/internal/intervals"
 	"repro/internal/oracle"
 	"repro/internal/rng"
-	"repro/internal/shape"
 )
 
 // Source yields one sample from the unknown distribution per call. Values
@@ -316,30 +315,6 @@ func TestPartition(src Source, n int, cuts []int, eps float64, opt Options) (Ver
 	if !res.Accept {
 		v.Stage = "identity"
 		v.Detail = fmt.Sprintf("not flat on the given partition (χ² %.1f above threshold %.1f)", res.Z, res.Threshold)
-	}
-	return v, nil
-}
-
-// TestMonotone decides whether the distribution behind src is monotone
-// over [0, n) (non-increasing when decreasing, else non-decreasing) or
-// ε-far from every such distribution. This is the [ADK15]-style
-// testing-by-learning specialization (oblivious Birgé decomposition, no
-// sieve) whose generalization to H_k is the paper's main algorithm; it
-// rounds out the shape-testing toolkit alongside TestSource and the
-// shape-distance accessors on Histogram.
-func TestMonotone(src Source, n int, decreasing bool, eps float64, opt Options) (Verdict, error) {
-	if n < 1 {
-		return Verdict{}, fmt.Errorf("histtest: n = %d must be positive", n)
-	}
-	o := &sourceOracle{n: n, src: src}
-	res, err := shape.TestMonotone(o, opt.rng(), decreasing, eps, shape.PracticalMonotone())
-	if err != nil {
-		return Verdict{}, err
-	}
-	v := Verdict{IsKHistogram: res.Accept, SamplesUsed: o.count}
-	if !res.Accept {
-		v.Stage = res.Stage
-		v.Detail = fmt.Sprintf("monotone test rejected at stage %s (hypothesis distance %.4f)", res.Stage, res.CheckDistance)
 	}
 	return v, nil
 }

@@ -82,49 +82,6 @@ func TestHistogramStatistics(t *testing.T) {
 	}
 }
 
-func TestShapeDistances(t *testing.T) {
-	// A decreasing staircase: monotone-decreasing distance 0, increasing
-	// distance positive, unimodal distance 0 (monotone ⊂ unimodal).
-	h, err := NewHistogram(100, []int{30, 60}, []float64{0.6, 0.3, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dDec, projDec := h.DistanceToMonotone(true)
-	if dDec > 1e-12 {
-		t.Fatalf("decreasing distance = %v", dDec)
-	}
-	if tv, _ := TotalVariation(h, projDec); tv > 1e-9 {
-		t.Fatal("projection of feasible input moved")
-	}
-	dInc, _ := h.DistanceToMonotone(false)
-	if dInc < 0.1 {
-		t.Fatalf("increasing distance = %v, want substantial", dInc)
-	}
-	dUni, _ := h.DistanceToUnimodal()
-	if dUni > 1e-12 {
-		t.Fatalf("unimodal distance = %v", dUni)
-	}
-	// A two-peak histogram is far from unimodal but 3-modal-close.
-	twoPeak, err := NewHistogram(100, []int{20, 40, 60, 80}, []float64{0.1, 0.3, 0.05, 0.45, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dU, _ := twoPeak.DistanceToUnimodal()
-	if dU < 0.01 {
-		t.Fatalf("two-peak unimodal distance = %v", dU)
-	}
-	d3, _, err := twoPeak.DistanceToKModal(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d3 > 1e-12 {
-		t.Fatalf("3-modal distance of two-peak = %v", d3)
-	}
-	if _, _, err := twoPeak.DistanceToKModal(0); err == nil {
-		t.Fatal("k=0 accepted")
-	}
-}
-
 func TestTestSourceAcceptsHistogram(t *testing.T) {
 	h := fourBucket(t, 512)
 	accepts := 0
@@ -382,35 +339,6 @@ func TestSmallestKExhaustsKMax(t *testing.T) {
 	}
 	if res.K != 5 {
 		t.Fatalf("K = %d, want KMax+1 = 5", res.K)
-	}
-}
-
-func TestMonotonePublicAPI(t *testing.T) {
-	// Decreasing 3-step histogram: monotone-decreasing passes, increasing
-	// rejects.
-	h, err := NewHistogram(512, []int{128, 320}, []float64{0.6, 0.3, 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := TestMonotone(h.Sampler(1), 512, true, 0.4, Options{Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !v.IsKHistogram {
-		t.Fatalf("decreasing shape rejected: %s", v.Detail)
-	}
-	v, err = TestMonotone(h.Sampler(3), 512, false, 0.4, Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.IsKHistogram {
-		t.Fatal("increasing test accepted a decreasing shape")
-	}
-	if v.Stage == "" || v.Detail == "" {
-		t.Fatal("rejection metadata missing")
-	}
-	if _, err := TestMonotone(h.Sampler(1), 0, true, 0.4, Options{}); err == nil {
-		t.Fatal("n=0 accepted")
 	}
 }
 

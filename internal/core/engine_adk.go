@@ -60,7 +60,14 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageSieve})
 	alpha := cfg.Alpha(eps)
 	mSieve := cfg.SieveMFactor * math.Sqrt(float64(n)) / (alpha * alpha)
-	tau := cfg.Chi.TruncFactor * eps / float64(n)
+	// The sieve scores the same truncated set the final test does: both
+	// drop elements with D̂(i) below Chi.Threshold(n, ε'), ε' the final
+	// test's distance. The residual target the sieve drives toward is
+	// only meaningful on that set — an element the sieve skipped but the
+	// test scores (a zero-mass tail sharing a learned interval with the
+	// support's last element) would carry unsieved χ² into the test.
+	epsTest := cfg.TestEpsFactor * eps
+	tau := cfg.Chi.Threshold(n, epsTest)
 	reps := cfg.sieveReps(k)
 
 	a.grow(K, reps)
@@ -275,7 +282,7 @@ func (adkEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG,
 
 	// Stage 5: final χ²-vs-TV test of D against D̂ on G with fresh samples.
 	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageTest})
-	res := chisq.TestWith(o, r, dhat, g, cfg.TestEpsFactor*eps, cfg.Chi, countStrat)
+	res := chisq.TestWith(o, r, dhat, g, epsTest, cfg.Chi, countStrat)
 	tr.TestSamples = a.took(o)
 	tr.FinalZ = res.Z
 	tr.FinalThresh = res.Threshold

@@ -87,7 +87,7 @@ func (cdklEngine) run(ctx context.Context, a *Arena, o oracle.Oracle, r *rng.RNG
 	a.emit(obs.Event{Kind: obs.KindStageEnter, Stage: obs.StageTest})
 	epsF := cfg.flatEpsFactor() * eps
 	m := cfg.Chi.SampleMean(n, epsF)
-	tau := cfg.Chi.TruncFactor * epsF / float64(n)
+	tau := cfg.Chi.Threshold(n, epsF)
 	countStrat := oracle.EffectiveStrategy(o, cfg.CountStrategy)
 	counts := oracle.DrawCountsWith(o, r, m, countStrat)
 	if a.ob != nil {
